@@ -4,14 +4,12 @@
 // Part 1 measures the streaming rescoring path — the operation AsyncFilter
 // performs every time the buffer changes: evict the oldest update, insert
 // the arrival, recompute every buffered update's suspicious score, and
-// re-cluster. Three lanes over buffer sizes 64→8192 at the LeNet-surrogate
-// dimension:
-//   exact        AF_SCORER=exact semantics — every distance recomputed,
-//                cold k-means++ with restarts each arrival (the pre-scorer
-//                behaviour).
+// re-cluster. Two lanes over buffer sizes 64→8192 at the LeNet-surrogate
+// delta size (taken from nn::MakeLeNet5Surrogate, 4,538 floats):
+//   exact        every distance recomputed, cold k-means++ with restarts each
+//                arrival (the pre-scorer behaviour).
 //   incremental  cached norms/reference distances (only the new arrival's
 //                distance is computed) + warm-started Lloyd.
-//   quantized    int8 candidate scoring (certified-bound approximations).
 // Per-arrival latency is reported as p50/p95. Acceptance tracked per PR:
 // incremental ≥5× faster than exact at buffer 4096 (p50), with incremental
 // p95 under a millisecond.
@@ -37,6 +35,7 @@
 #include "defense/fldetector.h"
 #include "defense/krum.h"
 #include "fl/types.h"
+#include "nn/models.h"
 #include "obs/json.h"
 #include "score/scorer.h"
 #include "score/warm_kmeans.h"
@@ -47,8 +46,13 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-constexpr std::size_t kDim = 4704;         // LeNet-surrogate delta size
 constexpr std::size_t kStalenessLevels = 6;
+
+// The delta size the default run actually scores: the LeNet surrogate's
+// parameter count.
+std::size_t LeNetDeltaSize() {
+  return nn::MakeLeNet5Surrogate().factory(/*seed=*/0)->NumParameters();
+}
 
 double MicrosSince(Clock::time_point start) {
   return std::chrono::duration<double, std::micro>(Clock::now() - start)
@@ -81,17 +85,17 @@ struct LaneResult {
 
 // One (mode, buffer-size) lane of the per-arrival streaming sweep.
 LaneResult RunLane(score::ScorerMode mode, std::size_t buffer_size,
-                   bool smoke) {
+                   std::size_t dim, bool smoke) {
   auto rng = util::RngFactory(7).Stream("stream");
   std::uniform_int_distribution<std::size_t> tau(0, kStalenessLevels - 1);
 
   // Update pool: slot storage the scorer borrows. The mirror ModelUpdates
   // only carry staleness (what normalization reads); payloads live here.
   std::vector<std::vector<float>> deltas(buffer_size,
-                                         std::vector<float>(kDim));
+                                         std::vector<float>(dim));
   std::vector<fl::ModelUpdate> buffer(buffer_size);
   std::vector<std::vector<float>> references(kStalenessLevels,
-                                             std::vector<float>(kDim));
+                                             std::vector<float>(dim));
   for (auto& ref : references) {
     FillDelta(ref, rng);
   }
@@ -117,16 +121,8 @@ LaneResult RunLane(score::ScorerMode mode, std::size_t buffer_size,
   const auto score_arrival = [&](std::size_t pos) {
     scorer.Evict(slots[pos]);
     slots[pos] = scorer.Insert(deltas[pos]);
-    if (mode == score::ScorerMode::kQuantized) {
-      for (std::size_t i = 0; i < buffer_size; ++i) {
-        own[i] =
-            scorer.ApproxDistanceToReference(buffer[i].staleness, slots[i])
-                .value;
-      }
-    } else {
-      for (std::size_t i = 0; i < buffer_size; ++i) {
-        own[i] = scorer.DistanceToReference(buffer[i].staleness, slots[i]);
-      }
+    for (std::size_t i = 0; i < buffer_size; ++i) {
+      own[i] = scorer.DistanceToReference(buffer[i].staleness, slots[i]);
     }
     const std::vector<double> scores = core::NormalizeOwnDistances(
         buffer, own, core::ScoreNormalization::kGroupRms);
@@ -242,15 +238,15 @@ int main(int argc, char** argv) {
 
   std::printf("bench_micro_filter_overhead%s\n", smoke ? " (smoke)" : "");
 
-  std::printf("Per-arrival streaming rescoring (dim %zu)\n", kDim);
+  const std::size_t dim = LeNetDeltaSize();
+  std::printf("Per-arrival streaming rescoring (dim %zu)\n", dim);
   const std::size_t buffer_sizes[] = {64, 256, 1024, 4096, 8192};
   const score::ScorerMode modes[] = {score::ScorerMode::kExact,
-                                     score::ScorerMode::kIncremental,
-                                     score::ScorerMode::kQuantized};
+                                     score::ScorerMode::kIncremental};
   std::vector<LaneResult> lanes;
   for (std::size_t buffer_size : buffer_sizes) {
     for (score::ScorerMode mode : modes) {
-      lanes.push_back(RunLane(mode, buffer_size, smoke));
+      lanes.push_back(RunLane(mode, buffer_size, dim, smoke));
     }
   }
 
@@ -282,26 +278,26 @@ int main(int argc, char** argv) {
   std::vector<ProcessResult> process;
   {
     core::AsyncFilter filter;
-    process.push_back(RunProcess(filter, "asyncfilter", 40, kDim, smoke));
+    process.push_back(RunProcess(filter, "asyncfilter", 40, dim, smoke));
   }
   {
     core::AsyncFilter filter;
-    process.push_back(RunProcess(filter, "asyncfilter", 160, kDim, smoke));
+    process.push_back(RunProcess(filter, "asyncfilter", 160, dim, smoke));
   }
   {
     defense::FlDetector detector;
-    process.push_back(RunProcess(detector, "fldetector", 40, kDim, smoke));
+    process.push_back(RunProcess(detector, "fldetector", 40, dim, smoke));
   }
   {
     defense::Krum krum(0.2, /*multi=*/true);
-    process.push_back(RunProcess(krum, "multikrum", 40, kDim, smoke));
+    process.push_back(RunProcess(krum, "multikrum", 40, dim, smoke));
   }
 
   obs::JsonWriter json;
   json.BeginObject();
   json.Key("name").String("defense");
   json.Key("smoke").Bool(smoke);
-  json.Key("dim").UInt(kDim);
+  json.Key("dim").UInt(dim);
   json.Key("speedup_4096").Number(speedup_4096);
   json.Key("speedup_target_met").Bool(speedup_met);
   json.Key("incremental_p95_4096_us").Number(incremental_4096_p95);

@@ -6,8 +6,8 @@
 // The fleet rides ResolvePoolConnections(0, N) multiplexed connections and
 // a fixed engine crew; each round dispatches a fixed K jobs round-robin
 // across the population, so the *work* per round is constant and any
-// latency growth is pure bookkeeping overhead — session maps, reactor
-// sharding, demux. Acceptance tracked per PR: p50 and p95 grow at most
+// latency growth is pure bookkeeping overhead — session maps, the reactor,
+// demux. Acceptance tracked per PR: p50 and p95 grow at most
 // 1.5x from the smallest to the largest population. Emits
 // BENCH_scale.json. `--smoke` shrinks the populations for CI; `--out=FILE`
 // redirects the JSON.
@@ -70,7 +70,6 @@ ScaleResult RunPopulation(int num_clients, int rounds, int workers,
   net::ServerOptions server_options;
   server_options.port = 0;
   server_options.io_timeout_ms = 60000;
-  server_options.reactor_shards = 4;
   net::Server server(server_options);
 
   // Per-in-flight-job dispatch stamps, keyed by the globally unique

@@ -21,8 +21,6 @@
 //                     shm = tcp handshake + control, data frames on
 //                     per-client shared-memory rings (same host only)
 //   --port            server port (tcp/shm; 0 = ephemeral loopback)
-//   --reactor-shards  server event-loop shards (1 = deterministic default,
-//                     <= 0 = one per core capped at 8)
 //   --clients-virtual run the fleet as a multiplexed virtual-client pool
 //                     instead of one thread+connection per client — this is
 //                     what makes 100k+ client populations fit on one box

@@ -35,7 +35,7 @@
 //                        (checkpoint/resume only works inproc; tcp/shm
 //                        cells restart from scratch when killed)
 //   --clients-virtual, --pool-connections, --pool-workers,
-//   --pool-latency-ms, --pool-latency-zipf, --reactor-shards, --port,
+//   --pool-latency-ms, --pool-latency-zipf, --port,
 //   --fault-*            see run_experiment.cpp
 //   --metrics-port N     serve /metrics, /healthz, /spans over HTTP on
 //                        127.0.0.1:N for the sweep's duration (0 = ephemeral)

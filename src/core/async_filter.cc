@@ -51,68 +51,6 @@ const defense::RegistryEntry kRegisterAsyncFilterRejectMid{
           VariantOptions(3, MidBandPolicy::kReject));
     }};
 
-// Indices whose score interval could straddle a cluster-band boundary and
-// therefore need exact rescoring before the verdict is trusted.
-//
-// The distance bounds are certified (|own_i − exact_i| ≤ bounds_i); at the
-// score level they propagate conservatively: every own-distance has relative
-// error ≤ rel_i, and an RMS/L2 denominator over values with relative error
-// ≤ rel_max has relative error ≤ rel_max itself, so
-//   score_i ∈ score_i · [(1 − rel_i)/(1 + rel_max), (1 + rel_i)/(1 − rel_max)].
-std::vector<std::size_t> FindBorderline(const std::vector<double>& scores,
-                                        const std::vector<double>& own,
-                                        const std::vector<double>& bounds,
-                                        const cluster::KMeansResult& clustering) {
-  const std::size_t n = scores.size();
-  std::vector<double> rel(n, 0.0);
-  double rel_max = 0.0;
-  bool all_borderline = false;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (bounds[i] <= 0.0) {
-      continue;
-    }
-    const double denom = own[i] - bounds[i];
-    if (denom <= 0.0) {
-      all_borderline = true;  // bound swallows the distance entirely
-      break;
-    }
-    rel[i] = bounds[i] / denom;
-    rel_max = std::max(rel_max, rel[i]);
-  }
-  std::vector<std::size_t> borderline;
-  if (all_borderline || rel_max >= 0.5) {
-    borderline.resize(n);
-    std::iota(borderline.begin(), borderline.end(), 0u);
-    return borderline;
-  }
-
-  std::vector<double> centers;
-  centers.reserve(clustering.centroids.size());
-  for (const auto& c : clustering.centroids) {
-    centers.push_back(c[0]);
-  }
-  std::sort(centers.begin(), centers.end());
-  std::vector<double> cuts;  // band boundaries: midpoints between centroids
-  for (std::size_t b = 0; b + 1 < centers.size(); ++b) {
-    cuts.push_back(0.5 * (centers[b] + centers[b + 1]));
-  }
-
-  for (std::size_t i = 0; i < n; ++i) {
-    if (bounds[i] <= 0.0) {
-      continue;
-    }
-    const double lo = scores[i] * (1.0 - rel[i]) / (1.0 + rel_max);
-    const double hi = scores[i] * (1.0 + rel[i]) / (1.0 - rel_max);
-    for (double cut : cuts) {
-      if (lo <= cut && cut <= hi) {
-        borderline.push_back(i);
-        break;
-      }
-    }
-  }
-  return borderline;
-}
-
 }  // namespace
 
 void EnsureAsyncFilterRegistered() {
@@ -121,7 +59,7 @@ void EnsureAsyncFilterRegistered() {
 
 AsyncFilter::AsyncFilter(AsyncFilterOptions options)
     : options_(options),
-      scorer_(options.scorer_mode.value_or(score::ScorerModeFromEnv())),
+      scorer_(options.scorer_mode),
       degenerate_rounds_(
           &obs::DefaultRegistry().GetCounter("defense.degenerate_rounds")) {
   AF_CHECK_GE(options_.num_clusters, 2u);
@@ -188,25 +126,6 @@ std::vector<int> AsyncFilter::SyncScorer(
   return slots;
 }
 
-bool AsyncFilter::QuantizedScores(const std::vector<fl::ModelUpdate>& updates,
-                                  const std::vector<int>& slots,
-                                  std::vector<double>* own,
-                                  std::vector<double>* bounds) {
-  if (scorer_.mode() != score::ScorerMode::kQuantized ||
-      options_.normalization == ScoreNormalization::kEq7CrossGroup) {
-    return false;
-  }
-  own->resize(updates.size());
-  bounds->resize(updates.size());
-  for (std::size_t i = 0; i < updates.size(); ++i) {
-    const score::StreamingScorer::ApproxDistance d =
-        scorer_.ApproxDistanceToReference(updates[i].staleness, slots[i]);
-    (*own)[i] = d.value;
-    (*bounds)[i] = d.exact ? 0.0 : d.bound;
-  }
-  return true;
-}
-
 defense::AggregationResult AsyncFilter::Process(
     const defense::FilterContext& context,
     const std::vector<fl::ModelUpdate>& updates) {
@@ -235,18 +154,11 @@ defense::AggregationResult AsyncFilter::Process(
 
   // Step 2 (Eq. 6–7): suspicious scores, answered by the streaming scorer.
   const std::vector<int> slots = SyncScorer(updates);
-  std::vector<double> own;
-  std::vector<double> bounds;
   std::vector<double> scores;
-  const bool quantized = QuantizedScores(updates, slots, &own, &bounds);
   {
     AF_TRACE_SPAN("filter.score");
-    if (quantized) {
-      scores = NormalizeOwnDistances(updates, own, options_.normalization);
-    } else {
-      scores = ComputeSuspiciousScores(updates, scorer_, slots,
-                                       options_.normalization);
-    }
+    scores = ComputeSuspiciousScores(updates, scorer_, slots,
+                                     options_.normalization);
   }
 
   std::vector<std::size_t> accepted;
@@ -269,26 +181,8 @@ defense::AggregationResult AsyncFilter::Process(
     // Step 3: k-means over the 1-D scores, warm-started from the previous
     // round's centroids; order bands by centroid.
     AF_TRACE_SPAN("filter.cluster");
-    cluster::KMeansResult clustering =
+    const cluster::KMeansResult clustering =
         score::WarmKMeans1D(scores, k, *context.rng, kmeans_state_);
-    if (quantized) {
-      // Candidate verdicts came from int8 distances; exactly rescore every
-      // update whose certified score interval straddles a band boundary,
-      // then re-cluster so the final verdicts rest on exact borderline
-      // scores.
-      const std::vector<std::size_t> borderline =
-          FindBorderline(scores, own, bounds, clustering);
-      if (!borderline.empty()) {
-        for (std::size_t idx : borderline) {
-          own[idx] = scorer_.DistanceToReference(updates[idx].staleness,
-                                                 slots[idx]);
-          bounds[idx] = 0.0;
-        }
-        scores = NormalizeOwnDistances(updates, own, options_.normalization);
-        clustering = score::WarmKMeans1D(scores, k, *context.rng,
-                                         kmeans_state_);
-      }
-    }
     std::vector<std::size_t> band_order(k);
     std::iota(band_order.begin(), band_order.end(), 0u);
     std::sort(band_order.begin(), band_order.end(),

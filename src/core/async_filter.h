@@ -13,7 +13,6 @@
 #pragma once
 
 #include <map>
-#include <optional>
 #include <utility>
 
 #include "core/staleness_groups.h"
@@ -54,10 +53,9 @@ struct AsyncFilterOptions {
   // A deferred update is dropped once re-deferred this many times, keeping
   // the buffer from accumulating zombies.
   std::size_t max_deferrals = 2;
-  // Scoring backend; unset reads AF_SCORER (see score/scorer.h). Exact and
-  // incremental produce bit-identical verdicts; quantized scores candidates
-  // from int8 codes and exactly rescores only the borderline updates.
-  std::optional<score::ScorerMode> scorer_mode;
+  // Scoring backend (see score/scorer.h). Exact and incremental produce
+  // bit-identical verdicts; exact exists as the test oracle.
+  score::ScorerMode scorer_mode = score::ScorerMode::kIncremental;
 };
 
 // No-op whose only job is to force this translation unit — and with it the
@@ -82,19 +80,11 @@ class AsyncFilter : public defense::Defense {
   void LoadState(util::serial::Reader& r) override;
 
   const MovingAverageBank& bank() const { return bank_; }
-  score::ScorerMode scorer_mode() const { return scorer_.mode(); }
 
  private:
   // Loads this round's buffer and the bank's group estimates into the
   // scorer; returns update i's slot in slots[i].
   std::vector<int> SyncScorer(const std::vector<fl::ModelUpdate>& updates);
-  // Quantized candidate path: approximate scores with certified distance
-  // bounds, exact rescoring of updates whose score interval straddles a
-  // cluster-band boundary. Returns false when the fast path does not apply
-  // (non-quantized mode, Eq. 7 normalization).
-  bool QuantizedScores(const std::vector<fl::ModelUpdate>& updates,
-                       const std::vector<int>& slots,
-                       std::vector<double>* own, std::vector<double>* bounds);
 
   AsyncFilterOptions options_;
   MovingAverageBank bank_;

@@ -62,10 +62,10 @@ std::vector<double> ComputeSuspiciousScores(
     const std::vector<int>& slots,
     ScoreNormalization normalization = ScoreNormalization::kGroupRms);
 
-// Eq. 7 normalization applied to precomputed own-group distances. Exposed
-// for the quantized candidate path, which normalizes *approximate* distances
-// before deciding which updates need exact rescoring. kEq7CrossGroup is not
-// representable from own[] alone and must not be passed here.
+// Eq. 7 normalization applied to precomputed own-group distances (exposed
+// for bench_micro_filter_overhead, which scores from its own distances).
+// kEq7CrossGroup is not representable from own[] alone and must not be
+// passed here.
 std::vector<double> NormalizeOwnDistances(
     const std::vector<fl::ModelUpdate>& updates, const std::vector<double>& own,
     ScoreNormalization normalization);

@@ -28,7 +28,7 @@ AggregationResult Krum::Process(const FilterContext& context,
   const std::size_t neighbours = n - m - 2;
 
   // Pairwise squared distances, answered by the streaming scorer (cached
-  // norms + Gram dots; AF_SCORER=exact recomputes the identical formula).
+  // norms + Gram dots; the exact oracle recomputes the identical formula).
   scorer_.Clear();
   std::vector<int> slots(n);
   for (std::size_t i = 0; i < n; ++i) {

@@ -176,8 +176,6 @@ struct VirtualClientPool::Impl {
   obs::Counter& acks_dropped =
       obs::DefaultRegistry().GetCounter("pool.acks_ignored");
 
-  Impl() : reactor(net::ReactorOptions{1}) {}
-
   PoolConn* FindConn(int fd) {
     return fd >= 0 && fd < static_cast<int>(by_fd_sparse.size())
                ? by_fd_sparse[static_cast<std::size_t>(fd)]

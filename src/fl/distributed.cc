@@ -367,21 +367,7 @@ class TcpBackend : public TrainBackend {
         alive_count_(num_samples_.size()),
         options_(options),
         seed_(seed),
-        rtt_us_(obs::DefaultRegistry().GetHistogram("net.job_rtt_us")),
-        combine_us_(
-            obs::DefaultRegistry().GetHistogram("shard.combine_us")) {
-    // Per-shard staging: updates land in the buffer of the reactor shard
-    // whose connection delivered them, and a single combine pass after the
-    // wait loop folds every shard into the round's delta slots — the first
-    // cut of a sharded aggregation path. Positions are unique per job, so
-    // the combine order never affects results.
-    const int shards = std::max(1, server_->reactor_shards());
-    staging_.resize(static_cast<std::size_t>(shards));
-    shard_updates_.reserve(static_cast<std::size_t>(shards));
-    for (int s = 0; s < shards; ++s) {
-      shard_updates_.push_back(&obs::DefaultRegistry().GetCounter(
-          "shard.updates", {{"shard", std::to_string(s)}}));
-    }
+        rtt_us_(obs::DefaultRegistry().GetHistogram("net.job_rtt_us")) {
     server_->SetUpdateHandler(
         [this](int client_id, net::ClientUpdateMsg msg) {
           OnUpdate(client_id, std::move(msg));
@@ -456,7 +442,6 @@ class TcpBackend : public TrainBackend {
     // Push out any still-queued acks so workers stop resending while the
     // driver is busy aggregating/evaluating.
     server_->Flush(options_.io_timeout_ms);
-    CombineShards(deltas);
     current_deltas_ = nullptr;
     return deltas;
   }
@@ -506,41 +491,21 @@ class TcpBackend : public TrainBackend {
     const compress::Codec* codec = server_->ClientCodec(client_id);
     wire_stats_[{client_id, msg.job_index}] = {
         codec != nullptr ? codec->name() : "identity", msg.wire_bytes};
-    // Stage into the reactor shard the update arrived on. The delta either
-    // owns its floats already (lossy decode materialized them) or aliases
-    // the connection's read buffer, which dies when this callback returns —
-    // that one gets the single counted uplink copy, into the arena.
-    const int shard = std::max(0, server_->ShardOfClient(client_id));
-    auto& slot = staging_[static_cast<std::size_t>(shard) % staging_.size()];
-    shard_updates_[static_cast<std::size_t>(shard) % shard_updates_.size()]
-        ->Increment();
+    // Land the update in its job's slot. The delta either owns its floats
+    // already (lossy decode materialized them) or aliases the connection's
+    // read buffer, which dies when this callback returns — that one gets
+    // the single counted uplink copy, into the arena.
+    net::UpdateView& slot = (*current_deltas_)[it->second.position];
     if (msg.delta.has_keepalive()) {
-      slot.emplace_back(it->second.position, std::move(msg.delta));
+      slot = std::move(msg.delta);
     } else {
       obs::DefaultRegistry()
           .GetCounter("transport.bytes_copied")
           .Increment(static_cast<std::uint64_t>(msg.delta.size()) *
                      sizeof(float));
-      slot.emplace_back(it->second.position,
-                        net::UpdateView::CopyToArena(arena_, msg.delta));
+      slot = net::UpdateView::CopyToArena(arena_, msg.delta);
     }
     outstanding_.erase(it);
-  }
-
-  // Folds every shard's staged updates into the round's delta slots. Each
-  // job position appears at most once across all shards, so this is
-  // order-independent — shard count never changes results.
-  void CombineShards(std::vector<net::UpdateView>& deltas) {
-    const auto begin = Clock::now();
-    for (auto& shard : staging_) {
-      for (auto& [position, view] : shard) {
-        deltas[position] = std::move(view);
-      }
-      shard.clear();
-    }
-    combine_us_.Record(
-        std::chrono::duration<double, std::micro>(Clock::now() - begin)
-            .count());
   }
 
   void OnDisconnect(int client_id) { MarkDead(client_id); }
@@ -552,13 +517,8 @@ class TcpBackend : public TrainBackend {
   TransportOptions options_;
   std::uint64_t seed_ = 0;
   obs::Histogram& rtt_us_;
-  obs::Histogram& combine_us_;
-  std::vector<obs::Counter*> shard_updates_;
   std::map<std::pair<int, std::uint64_t>, Pending> outstanding_;
   std::map<std::pair<int, std::uint64_t>, WireStats> wire_stats_;
-  // Per-reactor-shard staging buffers: (delta position, update) pairs
-  // collected by OnUpdate and folded by CombineShards.
-  std::vector<std::vector<std::pair<std::size_t, net::UpdateView>>> staging_;
   // Uplink deltas materialize here; blocks free themselves once the last
   // view into them dies (end of the aggregation round, typically).
   util::Arena arena_;
@@ -634,7 +594,6 @@ SimulationResult DistributedDriver::Run() {
   net::ServerOptions server_options;
   server_options.port = spec.transport.port;
   server_options.io_timeout_ms = spec.transport.io_timeout_ms;
-  server_options.reactor_shards = spec.transport.reactor_shards;
   server_options.offer_trace_context = spec.transport.trace_context;
   server_options.offer_shm = spec.transport.shm;
   server_options.shm_ring_bytes = spec.transport.shm_ring_bytes;
@@ -646,9 +605,7 @@ SimulationResult DistributedDriver::Run() {
   }
   impl.server = std::make_unique<net::Server>(server_options);
   AF_LOG(kInfo) << "net: server listening on 127.0.0.1:"
-                << impl.server->port() << " ("
-                << impl.server->reactor_backend() << ", "
-                << impl.server->reactor_shards() << " shard(s))";
+                << impl.server->port() << " (epoll)";
 
   std::vector<std::size_t> num_samples;
   num_samples.reserve(spec.clients.size());

@@ -7,7 +7,7 @@
 //   ─────────────                         ──────────────────────────────
 //   net::Server (epoll reactor) ◀─ TCP ─▶ kReal: one thread + connection
 //   Simulation + TcpBackend               per client (blocking I/O)
-//   sharded staging → defense             kVirtual: VirtualClientPool —
+//   update slots → defense                kVirtual: VirtualClientPool —
 //                                         few connections, worker crew
 //
 // Training jobs carry the same (client_id, job_index)-keyed RNG streams as
@@ -41,10 +41,6 @@ struct TransportOptions {
   int job_timeout_ms = 120000; // evict a client that never answers a job
   int ack_timeout_ms = 250;    // client resend timer for unacked updates
   int handshake_timeout_ms = 10000;
-  // Reactor shards for the server's event loop: 1 (default) is fully
-  // deterministic; <=0 picks one per core capped at 8. Results are
-  // shard-count-invariant either way (updates land by job position).
-  int reactor_shards = 1;
   net::RetryConfig retry;      // connect retry + update resend backoff
   net::FaultConfig faults;     // wire fault injection (off by default)
   // Update-compression codec name (compress/codec.h). Empty → no codec

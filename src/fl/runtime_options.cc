@@ -15,7 +15,7 @@ const std::vector<std::string>& RuntimeOptions::FlagNames() {
       "compress",       "metrics-port",
       "clients-virtual", "pool-connections",
       "pool-workers",   "pool-latency-ms",
-      "pool-latency-zipf", "reactor-shards",
+      "pool-latency-zipf",
   };
   return kNames;
 }
@@ -34,8 +34,6 @@ RuntimeOptions RuntimeOptions::FromFlags(const util::FlagParser& flags,
   options.net.faults.delay_ms = flags.GetDouble("fault-delay-ms", 5.0);
   options.net.faults.kill_fraction = flags.GetDouble("fault-kill", 0.0);
   options.net.faults.seed = seed;
-  options.net.reactor_shards =
-      static_cast<int>(flags.GetInt("reactor-shards", 1));
   options.compress = flags.GetString("compress", "");
   if (flags.GetBool("clients-virtual", false)) {
     options.pool.mode = ClientPoolSpec::Mode::kVirtual;
@@ -65,8 +63,6 @@ void RuntimeOptions::Validate() const {
            "(shared-memory rings are per-connection-pair; multiplexed "
            "connections stay on TCP)";
   }
-  AF_CHECK_LE(net.reactor_shards, 256)
-      << "--reactor-shards must be <= 256 (use <= 0 for one per core)";
   AF_CHECK_GE(pool.connections, 0)
       << "--pool-connections must be >= 0 (0 picks a default)";
   AF_CHECK_LE(pool.connections, 4096) << "--pool-connections too large";

@@ -1,7 +1,7 @@
 // Shared CLI surface for the distributed runtime: every binary that takes
 // --transport / --fault-* / --compress / --metrics-port parses them through
-// this one struct, so a new runtime flag (e.g. --clients-virtual,
-// --reactor-shards) lands once instead of once per tool.
+// this one struct, so a new runtime flag (e.g. --clients-virtual) lands
+// once instead of once per tool.
 //
 //   util::FlagParser flags(argc, argv);
 //   flags.RejectUnknown(Concat(my_flags, fl::RuntimeOptions::FlagNames()));
@@ -24,7 +24,7 @@ namespace fl {
 
 struct RuntimeOptions {
   TransportKind transport = TransportKind::kInproc;
-  TransportOptions net;       // port, faults, reactor shards
+  TransportOptions net;       // port, faults
   std::string compress;       // codec registry name; empty → none
   ClientPoolSpec pool;        // --clients-virtual fleet shape
   bool has_metrics_port = false;
@@ -34,7 +34,7 @@ struct RuntimeOptions {
   //   transport, port, fault-drop, fault-delay, fault-duplicate,
   //   fault-truncate, fault-delay-ms, fault-kill, compress, metrics-port,
   //   clients-virtual, pool-connections, pool-workers, pool-latency-ms,
-  //   pool-latency-zipf, reactor-shards
+  //   pool-latency-zipf
   static const std::vector<std::string>& FlagNames();
 
   // Parses the flags above. `seed` feeds the fault injector's RNG so runs
@@ -44,7 +44,7 @@ struct RuntimeOptions {
 
   // Cross-flag consistency: known codec name, no fault injection on a
   // virtual fleet, no shm transport with a virtual fleet (multiplexed
-  // connections are never offered rings), sane shard/connection counts.
+  // connections are never offered rings), sane connection counts.
   // Throws util::CheckError with an actionable message.
   void Validate() const;
 

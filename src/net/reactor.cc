@@ -1,44 +1,22 @@
 #include "net/reactor.h"
 
 #include <fcntl.h>
-#include <poll.h>
+#include <sys/epoll.h>
 #include <unistd.h>
 
-#if defined(__linux__)
-#include <sys/epoll.h>
-#endif
-
 #include <cerrno>
-#include <cstdlib>
-#include <string>
-#include <thread>
 #include <unordered_map>
 
 #include "obs/metrics.h"
 #include "util/check.h"
 #include "util/fd.h"
-#include "util/logging.h"
 
 namespace net {
 namespace {
 
-// One Wait() drains at most this many kernel events per shard; anything
-// beyond stays level-triggered-ready for the next tick.
+// One Wait() drains at most this many kernel events; anything beyond stays
+// level-triggered-ready for the next tick.
 constexpr int kMaxBatch = 256;
-
-int ResolveShardCount(int requested) {
-  if (requested > 0) {
-    return requested;
-  }
-  const unsigned cores = std::thread::hardware_concurrency();
-  const int per_core = cores == 0 ? 1 : static_cast<int>(cores);
-  return per_core > 8 ? 8 : per_core;
-}
-
-bool EnvForcesPoll() {
-  const char* env = std::getenv("AF_REACTOR");
-  return env != nullptr && std::string(env) == "poll";
-}
 
 void SetNonBlocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
@@ -47,42 +25,30 @@ void SetNonBlocking(int fd) {
       << "fcntl failed: " << util::ErrnoMessage(errno);
 }
 
-struct Watch {
-  int shard = 0;
-  bool want_write = false;
-};
-
 }  // namespace
 
 struct Reactor::Impl {
-  int shards = 1;
-  bool use_epoll = false;
-  std::unordered_map<int, Watch> watches;
+  // Registered fd → whether write interest is on.
+  std::unordered_map<int, bool> want_write;
 
-  // Wakeup pipe: read end lives in the wait set, any thread writes a byte
+  util::UniqueFd epfd;
+  // Wakeup pipe: read end lives in the epoll set, any thread writes a byte
   // to interrupt. Non-blocking on both ends so a flood of wakeups coalesces
   // instead of blocking the caller.
   util::UniqueFd wake_read;
   util::UniqueFd wake_write;
 
-#if defined(__linux__)
-  util::UniqueFd master;                 // epoll-of-epolls + wakeup pipe
-  std::vector<util::UniqueFd> shard_fds; // one epoll fd per shard
-#endif
-
   obs::Counter& wakeups =
       obs::DefaultRegistry().GetCounter("reactor.wakeups");
   obs::Counter& events =
       obs::DefaultRegistry().GetCounter("reactor.events");
-  obs::Gauge& shards_gauge =
-      obs::DefaultRegistry().GetGauge("reactor.shards");
-  std::vector<obs::Counter*> shard_events;
 
-  int AssignShard(int fd) const {
-    // Knuth multiplicative hash keeps assignment stable per fd and spreads
-    // sequential accept fds across shards.
-    return static_cast<int>((static_cast<std::uint32_t>(fd) * 2654435761u) %
-                            static_cast<std::uint32_t>(shards));
+  void EpollCtl(int op, int fd, std::uint32_t ev_mask) const {
+    epoll_event ev{};
+    ev.events = ev_mask;
+    ev.data.fd = fd;
+    AF_CHECK_EQ(::epoll_ctl(epfd.get(), op, fd, &ev), 0)
+        << "epoll_ctl failed: " << util::ErrnoMessage(errno);
   }
 
   void DrainWakePipe() {
@@ -90,115 +56,12 @@ struct Reactor::Impl {
     while (::read(wake_read.get(), buf, sizeof(buf)) > 0) {
     }
   }
-
-#if defined(__linux__)
-  void EpollCtl(int epfd, int op, int fd, std::uint32_t ev_mask) const {
-    epoll_event ev{};
-    ev.events = ev_mask;
-    ev.data.fd = fd;
-    AF_CHECK_EQ(::epoll_ctl(epfd, op, fd, &ev), 0)
-        << "epoll_ctl failed: " << util::ErrnoMessage(errno);
-  }
-
-  std::size_t WaitEpoll(int timeout_ms, std::vector<ReactorEvent>* out) {
-    epoll_event ready[kMaxBatch];
-    const int n = ::epoll_wait(master.get(), ready, kMaxBatch, timeout_ms);
-    if (n < 0) {
-      AF_CHECK(errno == EINTR)
-          << "epoll_wait failed: " << util::ErrnoMessage(errno);
-      return 0;
-    }
-    std::size_t appended = 0;
-    for (int i = 0; i < n; ++i) {
-      const int fd = ready[i].data.fd;
-      if (fd == wake_read.get()) {
-        DrainWakePipe();
-        continue;
-      }
-      // A readable master entry is a shard with pending events: drain its
-      // batch without blocking.
-      for (std::size_t s = 0; s < shard_fds.size(); ++s) {
-        if (shard_fds[s].get() != fd) {
-          continue;
-        }
-        epoll_event shard_ready[kMaxBatch];
-        const int m =
-            ::epoll_wait(shard_fds[s].get(), shard_ready, kMaxBatch, 0);
-        AF_CHECK_GE(m, 0)
-            << "shard epoll_wait failed: " << util::ErrnoMessage(errno);
-        for (int j = 0; j < m; ++j) {
-          ReactorEvent event;
-          event.fd = shard_ready[j].data.fd;
-          event.readable = (shard_ready[j].events & EPOLLIN) != 0;
-          event.writable = (shard_ready[j].events & EPOLLOUT) != 0;
-          event.error = (shard_ready[j].events & EPOLLERR) != 0;
-          event.hangup = (shard_ready[j].events & EPOLLHUP) != 0;
-          out->push_back(event);
-          ++appended;
-        }
-        if (m > 0 && shard_events[s] != nullptr) {
-          shard_events[s]->Increment(static_cast<std::uint64_t>(m));
-        }
-        break;
-      }
-    }
-    return appended;
-  }
-#endif
-
-  std::size_t WaitPoll(int timeout_ms, std::vector<ReactorEvent>* out) {
-    std::vector<pollfd> pfds;
-    pfds.reserve(watches.size() + 1);
-    pfds.push_back({wake_read.get(), POLLIN, 0});
-    for (const auto& [fd, watch] : watches) {
-      short interest = POLLIN;
-      if (watch.want_write) {
-        interest |= POLLOUT;
-      }
-      pfds.push_back({fd, interest, 0});
-    }
-    const int n = ::poll(pfds.data(), pfds.size(), timeout_ms);
-    if (n < 0) {
-      AF_CHECK(errno == EINTR)
-          << "poll failed: " << util::ErrnoMessage(errno);
-      return 0;
-    }
-    if (pfds[0].revents & POLLIN) {
-      DrainWakePipe();
-    }
-    std::size_t appended = 0;
-    for (std::size_t i = 1; i < pfds.size(); ++i) {
-      const short revents = pfds[i].revents;
-      if (revents == 0) {
-        continue;
-      }
-      ReactorEvent event;
-      event.fd = pfds[i].fd;
-      event.readable = (revents & POLLIN) != 0;
-      event.writable = (revents & POLLOUT) != 0;
-      event.error = (revents & (POLLERR | POLLNVAL)) != 0;
-      event.hangup = (revents & POLLHUP) != 0;
-      out->push_back(event);
-      ++appended;
-      auto it = watches.find(event.fd);
-      if (it != watches.end() &&
-          shard_events[static_cast<std::size_t>(it->second.shard)] !=
-              nullptr) {
-        shard_events[static_cast<std::size_t>(it->second.shard)]->Increment();
-      }
-    }
-    return appended;
-  }
 };
 
-Reactor::Reactor(ReactorOptions options) : impl_(std::make_unique<Impl>()) {
-  impl_->shards = ResolveShardCount(options.shards);
-#if defined(__linux__)
-  impl_->use_epoll = !EnvForcesPoll();
-#else
-  impl_->use_epoll = false;
-  (void)EnvForcesPoll();
-#endif
+Reactor::Reactor() : impl_(std::make_unique<Impl>()) {
+  impl_->epfd.reset(::epoll_create1(0));
+  AF_CHECK(impl_->epfd.valid())
+      << "epoll_create1 failed: " << util::ErrnoMessage(errno);
 
   int pipe_fds[2];
   AF_CHECK_EQ(::pipe(pipe_fds), 0)
@@ -207,96 +70,62 @@ Reactor::Reactor(ReactorOptions options) : impl_(std::make_unique<Impl>()) {
   impl_->wake_write.reset(pipe_fds[1]);
   SetNonBlocking(impl_->wake_read.get());
   SetNonBlocking(impl_->wake_write.get());
-
-  impl_->shard_events.resize(static_cast<std::size_t>(impl_->shards));
-  for (int s = 0; s < impl_->shards; ++s) {
-    impl_->shard_events[static_cast<std::size_t>(s)] =
-        &obs::DefaultRegistry().GetCounter(
-            "reactor.shard_events", {{"shard", std::to_string(s)}});
-  }
-  impl_->shards_gauge.Set(static_cast<double>(impl_->shards));
-
-#if defined(__linux__)
-  if (impl_->use_epoll) {
-    impl_->master.reset(::epoll_create1(0));
-    AF_CHECK(impl_->master.valid())
-        << "epoll_create1 failed: " << util::ErrnoMessage(errno);
-    impl_->shard_fds.reserve(static_cast<std::size_t>(impl_->shards));
-    for (int s = 0; s < impl_->shards; ++s) {
-      util::UniqueFd shard(::epoll_create1(0));
-      AF_CHECK(shard.valid())
-          << "epoll_create1 failed: " << util::ErrnoMessage(errno);
-      impl_->EpollCtl(impl_->master.get(), EPOLL_CTL_ADD, shard.get(),
-                      EPOLLIN);
-      impl_->shard_fds.push_back(std::move(shard));
-    }
-    impl_->EpollCtl(impl_->master.get(), EPOLL_CTL_ADD,
-                    impl_->wake_read.get(), EPOLLIN);
-  }
-#endif
+  impl_->EpollCtl(EPOLL_CTL_ADD, impl_->wake_read.get(), EPOLLIN);
 }
 
 Reactor::~Reactor() = default;
 
 void Reactor::Add(int fd) {
   AF_CHECK_GE(fd, 0);
-  AF_CHECK_EQ(impl_->watches.count(fd), 0u)
+  AF_CHECK_EQ(impl_->want_write.count(fd), 0u)
       << "fd " << fd << " already registered";
-  Watch watch;
-  watch.shard = impl_->AssignShard(fd);
-  watch.want_write = false;
-  impl_->watches.emplace(fd, watch);
-#if defined(__linux__)
-  if (impl_->use_epoll) {
-    impl_->EpollCtl(
-        impl_->shard_fds[static_cast<std::size_t>(watch.shard)].get(),
-        EPOLL_CTL_ADD, fd, EPOLLIN);
-  }
-#endif
+  impl_->want_write.emplace(fd, false);
+  impl_->EpollCtl(EPOLL_CTL_ADD, fd, EPOLLIN);
 }
 
 void Reactor::SetWantWrite(int fd, bool want_write) {
-  auto it = impl_->watches.find(fd);
-  AF_CHECK(it != impl_->watches.end()) << "fd " << fd << " not registered";
-  if (it->second.want_write == want_write) {
+  auto it = impl_->want_write.find(fd);
+  AF_CHECK(it != impl_->want_write.end()) << "fd " << fd << " not registered";
+  if (it->second == want_write) {
     return;
   }
-  it->second.want_write = want_write;
-#if defined(__linux__)
-  if (impl_->use_epoll) {
-    impl_->EpollCtl(
-        impl_->shard_fds[static_cast<std::size_t>(it->second.shard)].get(),
-        EPOLL_CTL_MOD, fd,
-        want_write ? (EPOLLIN | EPOLLOUT) : EPOLLIN);
-  }
-#endif
+  it->second = want_write;
+  impl_->EpollCtl(EPOLL_CTL_MOD, fd,
+                  want_write ? (EPOLLIN | EPOLLOUT) : EPOLLIN);
 }
 
 void Reactor::Remove(int fd) {
-  auto it = impl_->watches.find(fd);
-  AF_CHECK(it != impl_->watches.end()) << "fd " << fd << " not registered";
-#if defined(__linux__)
-  if (impl_->use_epoll) {
-    impl_->EpollCtl(
-        impl_->shard_fds[static_cast<std::size_t>(it->second.shard)].get(),
-        EPOLL_CTL_DEL, fd, 0);
-  }
-#endif
-  impl_->watches.erase(it);
+  auto it = impl_->want_write.find(fd);
+  AF_CHECK(it != impl_->want_write.end()) << "fd " << fd << " not registered";
+  impl_->EpollCtl(EPOLL_CTL_DEL, fd, 0);
+  impl_->want_write.erase(it);
 }
 
 std::size_t Reactor::Wait(int timeout_ms, std::vector<ReactorEvent>* out) {
   AF_CHECK(out != nullptr);
-  std::size_t appended = 0;
-#if defined(__linux__)
-  if (impl_->use_epoll) {
-    appended = impl_->WaitEpoll(timeout_ms, out);
-  } else {
-    appended = impl_->WaitPoll(timeout_ms, out);
+  epoll_event ready[kMaxBatch];
+  const int n = ::epoll_wait(impl_->epfd.get(), ready, kMaxBatch, timeout_ms);
+  if (n < 0) {
+    AF_CHECK(errno == EINTR)
+        << "epoll_wait failed: " << util::ErrnoMessage(errno);
+    return 0;
   }
-#else
-  appended = impl_->WaitPoll(timeout_ms, out);
-#endif
+  std::size_t appended = 0;
+  for (int i = 0; i < n; ++i) {
+    const int fd = ready[i].data.fd;
+    if (fd == impl_->wake_read.get()) {
+      impl_->DrainWakePipe();
+      continue;
+    }
+    ReactorEvent event;
+    event.fd = fd;
+    event.readable = (ready[i].events & EPOLLIN) != 0;
+    event.writable = (ready[i].events & EPOLLOUT) != 0;
+    event.error = (ready[i].events & EPOLLERR) != 0;
+    event.hangup = (ready[i].events & EPOLLHUP) != 0;
+    out->push_back(event);
+    ++appended;
+  }
   if (appended > 0) {
     impl_->events.Increment(static_cast<std::uint64_t>(appended));
   }
@@ -311,17 +140,6 @@ void Reactor::Wakeup() {
       ::write(impl_->wake_write.get(), &byte, 1);
 }
 
-int Reactor::ShardOf(int fd) const {
-  auto it = impl_->watches.find(fd);
-  return it == impl_->watches.end() ? -1 : it->second.shard;
-}
-
-int Reactor::shard_count() const { return impl_->shards; }
-
-std::size_t Reactor::watched_count() const { return impl_->watches.size(); }
-
-const char* Reactor::backend_name() const {
-  return impl_->use_epoll ? "epoll" : "poll";
-}
+std::size_t Reactor::watched_count() const { return impl_->want_write.size(); }
 
 }  // namespace net

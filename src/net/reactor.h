@@ -1,14 +1,10 @@
-// Sharded fd-readiness reactor: the half of the old poll()-era server that
-// cared about sockets, split out so sessions (net/session.h) never touch an
-// fd and transports register uniformly.
+// fd-readiness reactor: the half of the old poll()-era server that cared
+// about sockets, split out so sessions (net/session.h) never touch an fd and
+// transports register uniformly.
 //
-// On Linux the reactor is built from epoll: N shard epoll fds, connections
-// hash-assigned to shards, nested inside one master epoll so a single
-// Wait() call sleeps on everything and dispatch cost is O(ready), not
-// O(connections). Everywhere else — or with AF_REACTOR=poll in the
-// environment — a poll()-based implementation sits behind the identical
-// interface (kqueue would slot in the same way), so the fallback is always
-// testable on the primary platform.
+// One epoll set holds every registered fd plus the wakeup pipe, so a single
+// Wait() sleeps on everything and dispatch cost is O(ready), not
+// O(connections).
 //
 // All registration and Wait() calls belong to one owner thread; Wakeup() is
 // the one cross-thread entry point (it interrupts a blocked Wait, which is
@@ -28,26 +24,20 @@ struct ReactorEvent {
   int fd = -1;
   bool readable = false;
   bool writable = false;
-  bool error = false;   // EPOLLERR / POLLERR / POLLNVAL
-  bool hangup = false;  // EPOLLHUP / POLLHUP
-};
-
-struct ReactorOptions {
-  // Shard count; <= 0 picks one shard per core, capped at 8. One shard is
-  // the fully deterministic default the distributed driver uses.
-  int shards = 1;
+  bool error = false;   // EPOLLERR
+  bool hangup = false;  // EPOLLHUP
 };
 
 class Reactor {
  public:
-  explicit Reactor(ReactorOptions options = {});
+  Reactor();
   ~Reactor();
 
   Reactor(const Reactor&) = delete;
   Reactor& operator=(const Reactor&) = delete;
 
-  // Registers `fd` with level-triggered read interest and hash-assigns it
-  // to a shard. The fd must stay valid until Remove.
+  // Registers `fd` with level-triggered read interest. The fd must stay
+  // valid until Remove.
   void Add(int fd);
   // Toggles write interest (read interest is permanent until Remove).
   // No-op when the interest already matches.
@@ -55,22 +45,17 @@ class Reactor {
   void Remove(int fd);
 
   // Blocks up to `timeout_ms` (0 → immediate, < 0 → indefinitely) and
-  // appends one entry per ready fd to `out` (not cleared). Returns the
-  // number of events appended. A pending Wakeup() makes Wait return
-  // promptly with whatever is ready.
+  // appends one entry per ready fd to `out` (not cleared), at most one per
+  // fd and at most one batch (256) per call; fds left over stay ready and
+  // surface on the next Wait. Returns the number of events appended. A
+  // pending Wakeup() makes Wait return promptly with whatever is ready.
   std::size_t Wait(int timeout_ms, std::vector<ReactorEvent>* out);
 
   // Interrupts a concurrent Wait from any thread. Sticky: a wakeup posted
   // while no Wait is in progress makes the next Wait return immediately.
   void Wakeup();
 
-  // Stable shard assignment for a registered fd; -1 for unknown fds.
-  int ShardOf(int fd) const;
-  int shard_count() const;
   std::size_t watched_count() const;
-
-  // "epoll" or "poll" — which implementation this build/environment picked.
-  const char* backend_name() const;
 
  private:
   struct Impl;

@@ -117,7 +117,6 @@ struct Server::Conn : Session::Host {
 Server::Server(ServerOptions options)
     : options_(options),
       listener_(options.port),
-      reactor_(ReactorOptions{options.reactor_shards}),
       frames_received_(obs::DefaultRegistry().GetCounter(
           "net.server.frames_received")),
       frames_sent_(obs::DefaultRegistry().GetCounter(
@@ -544,12 +543,6 @@ bool Server::ClientUsesShm(int client_id) const {
 bool Server::IsMultiplexed(int client_id) const {
   auto it = by_client_.find(client_id);
   return it != by_client_.end() && it->second->session->multiplexed();
-}
-
-int Server::ShardOfClient(int client_id) const {
-  auto it = by_client_.find(client_id);
-  return it == by_client_.end() ? -1
-                                : reactor_.ShardOf(it->second->fd.get());
 }
 
 }  // namespace net

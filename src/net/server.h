@@ -1,4 +1,4 @@
-// TCP server event loop for the distributed run mode, built on the sharded
+// TCP server event loop for the distributed run mode, built on
 // net::Reactor (fd readiness) and net::Session (protocol state machine).
 //
 // Single-threaded: the driver thread calls PollOnce() to pump one tick —
@@ -9,9 +9,8 @@
 // non-blocking; a connection that stays stalled mid-frame or mid-write past
 // `io_timeout_ms` is evicted.
 //
-// Scale: connections are hash-assigned to reactor shards (epoll on Linux,
-// poll fallback elsewhere or with AF_REACTOR=poll), so a tick costs
-// O(ready fds), not O(connections) — tens of thousands of concurrent
+// Scale: every connection sits in the reactor's one epoll set, so a tick
+// costs O(ready fds), not O(connections) — tens of thousands of concurrent
 // connections are sustained by one loop. A connection may be *multiplexed*:
 // a kHello frame binds many client ids (a virtual-client pool) to one
 // socket, and broadcasts to those ids carry a trailing AFVC client-id block
@@ -59,9 +58,6 @@ struct ServerOptions {
   // Multiplexed (kHello) sessions are never offered a segment.
   bool offer_shm = false;
   std::size_t shm_ring_bytes = kShmDefaultRingBytes;
-  // Reactor shards (see net/reactor.h). 1 is the deterministic default;
-  // <= 0 picks one shard per core, capped at 8.
-  int reactor_shards = 1;
 };
 
 class Server {
@@ -129,12 +125,6 @@ class Server {
   // Whether the client rides a multiplexed (kHello) session. Broadcasts to
   // such clients must carry the AFVC client-id block so the pool can demux.
   bool IsMultiplexed(int client_id) const;
-
-  // Reactor shard the client's connection is assigned to; -1 when unknown.
-  int ShardOfClient(int client_id) const;
-
-  int reactor_shards() const { return reactor_.shard_count(); }
-  const char* reactor_backend() const { return reactor_.backend_name(); }
 
  private:
   struct Conn;

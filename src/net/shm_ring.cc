@@ -1,20 +1,16 @@
 #include "net/shm_ring.h"
 
 #include <fcntl.h>
+#include <linux/futex.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
+#include <sys/syscall.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <thread>
-
-#if defined(__linux__)
-#include <linux/futex.h>
-#include <sys/syscall.h>
-#endif
 
 #include "util/check.h"
 #include "util/fd.h"
@@ -36,9 +32,7 @@ constexpr std::size_t kMaxRingBytes = std::size_t{1} << 30;
 bool IsPowerOfTwo(std::size_t v) { return v != 0 && (v & (v - 1)) == 0; }
 
 // Futex doorbells. Non-PRIVATE: the two sides of a ring may be different
-// processes. On non-Linux builds the waiters degrade to a short sleep —
-// correctness is unchanged, only wake latency.
-#if defined(__linux__)
+// processes.
 int FutexWait(std::atomic<std::uint32_t>* word, std::uint32_t expected,
               int timeout_ms) {
   timespec ts;
@@ -52,17 +46,6 @@ int FutexWait(std::atomic<std::uint32_t>* word, std::uint32_t expected,
 void FutexWake(std::atomic<std::uint32_t>* word) {
   ::syscall(SYS_futex, word, FUTEX_WAKE, INT32_MAX, nullptr, nullptr, 0);
 }
-#else
-int FutexWait(std::atomic<std::uint32_t>* word, std::uint32_t expected,
-              int timeout_ms) {
-  if (word->load(std::memory_order_acquire) == expected) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(
-        std::min(timeout_ms < 0 ? 1 : timeout_ms, 1)));
-  }
-  return 0;
-}
-void FutexWake(std::atomic<std::uint32_t>*) {}
-#endif
 
 std::size_t HeaderLane() {
   static_assert(sizeof(ShmHeader) <= kControlLane);

@@ -1,21 +1,13 @@
 #include "score/scorer.h"
 
 #include <cmath>
-#include <cstdlib>
-#include <string>
 
 #include "obs/metrics.h"
 #include "tensor/kernels.h"
 #include "util/check.h"
-#include "util/logging.h"
 
 namespace score {
 namespace {
-
-std::optional<ScorerMode>& ModeOverride() {
-  static std::optional<ScorerMode> override;
-  return override;
-}
 
 // The one exact formula both backends share: same kernel calls in the same
 // order, so cached and recomputed answers are bit-identical.
@@ -32,37 +24,8 @@ const char* ScorerModeName(ScorerMode mode) {
       return "exact";
     case ScorerMode::kIncremental:
       return "incremental";
-    case ScorerMode::kQuantized:
-      return "quantized";
   }
   return "?";
-}
-
-ScorerMode ScorerModeFromEnv() {
-  if (ModeOverride().has_value()) {
-    return *ModeOverride();
-  }
-  const char* env = std::getenv("AF_SCORER");
-  if (env == nullptr || *env == '\0') {
-    return ScorerMode::kIncremental;
-  }
-  const std::string value(env);
-  if (value == "exact") {
-    return ScorerMode::kExact;
-  }
-  if (value == "incremental") {
-    return ScorerMode::kIncremental;
-  }
-  if (value == "quantized" || value == "quant") {
-    return ScorerMode::kQuantized;
-  }
-  AF_LOG(kWarn) << "score: unknown AF_SCORER value '" << value
-                << "', using incremental";
-  return ScorerMode::kIncremental;
-}
-
-void SetScorerModeOverrideForTest(std::optional<ScorerMode> mode) {
-  ModeOverride() = mode;
 }
 
 StreamingScorer::StreamingScorer(ScorerMode mode) : mode_(mode) {
@@ -71,7 +34,6 @@ StreamingScorer::StreamingScorer(ScorerMode mode) : mode_(mode) {
   evicts_ = &registry.GetCounter("score.evicts");
   ref_dist_computed_ = &registry.GetCounter("score.ref_dist_computed");
   ref_dist_cached_ = &registry.GetCounter("score.ref_dist_cached");
-  approx_dist_ = &registry.GetCounter("score.approx_dist");
   slots_gauge_ = &registry.GetGauge("score.slots");
 }
 
@@ -91,7 +53,6 @@ int StreamingScorer::Insert(std::span<const float> delta) {
   ++s.epoch;
   s.sq_norm_valid = false;
   s.ref_cache.clear();
-  s.quantized_valid = false;
   ++live_count_;
   if (caching()) {
     s.sq_norm = ComputeSquaredNorm(s);
@@ -138,7 +99,6 @@ void StreamingScorer::Evict(int slot) {
   s.live = false;
   s.delta = {};
   s.ref_cache.clear();
-  s.quantized_valid = false;
   free_slots_.push_back(slot);
   --live_count_;
   evicts_->Increment();
@@ -169,7 +129,6 @@ void StreamingScorer::SetReference(std::uint64_t key,
   Reference& ref = references_[key];
   ref.estimate = estimate;
   ++ref.epoch;
-  ref.quantized_valid = false;
   if (caching()) {
     ref.sq_norm = tensor::kernels::SumSquares(estimate.data(), estimate.size());
   }
@@ -329,61 +288,6 @@ double StreamingScorer::DistanceToReference(std::uint64_t key, int slot) {
   s.ref_cache[key] = {ref.epoch, distance};
   ref_dist_computed_->Increment();
   return distance;
-}
-
-const QuantizedVec& StreamingScorer::SlotQuantized(int slot) {
-  Slot& s = slots_[static_cast<std::size_t>(slot)];
-  if (!s.quantized_valid) {
-    s.quantized = Quantize(s.delta);
-    s.quantized_valid = true;
-  }
-  return s.quantized;
-}
-
-StreamingScorer::ApproxDistance StreamingScorer::ApproxDistanceToReference(
-    std::uint64_t key, int slot) {
-  ApproxDistance out;
-  if (mode_ != ScorerMode::kQuantized) {
-    out.value = DistanceToReference(key, slot);
-    out.bound = 0.0;
-    out.exact = true;
-    return out;
-  }
-  AF_CHECK(IsLive(slot));
-  auto it = references_.find(key);
-  AF_CHECK(it != references_.end()) << "score: unknown reference " << key;
-  Reference& ref = it->second;
-  // Reference distances change only when the reference does, so a cached
-  // exact answer beats re-approximating.
-  Slot& s = slots_[static_cast<std::size_t>(slot)];
-  auto cached = s.ref_cache.find(key);
-  if (cached != s.ref_cache.end() && cached->second.first == ref.epoch) {
-    ref_dist_cached_->Increment();
-    out.value = cached->second.second;
-    out.bound = 0.0;
-    out.exact = true;
-    return out;
-  }
-  if (!ref.quantized_valid) {
-    ref.quantized = Quantize(ref.estimate);
-    ref.quantized_valid = true;
-  }
-  const QuantizedVec& qs = SlotQuantized(slot);
-  const double dot = ApproxDot(ref.quantized, qs);
-  const double dot_bound = DotErrorBound(ref.quantized, qs);
-  const double d2 = SquaredDistanceFromParts(ref.sq_norm, SquaredNorm(slot),
-                                             dot);
-  const double d2_bound = 2.0 * dot_bound;  // the only approximated term
-  const double value = std::sqrt(d2);
-  // |√x − √x̂| ≤ |x − x̂| / (√x + √x̂); with the true d unknown, fall back to
-  // the conservative √bound when the approximation sits near zero.
-  const double bound =
-      value > 0.0 ? d2_bound / value : std::sqrt(d2_bound);
-  approx_dist_->Increment();
-  out.value = value;
-  out.bound = bound;
-  out.exact = false;
-  return out;
 }
 
 }  // namespace score

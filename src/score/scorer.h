@@ -17,16 +17,11 @@
 // reference update invalidates exactly the distances derived from it. The
 // exact backend answers every query by recomputing the *same formula* from
 // scratch, so the two modes are bit-identical by construction and differ only
-// in work — the property the tests in tests/score/ pin down and the
-// AF_SCORER switch relies on.
+// in work — the property the tests in tests/score/ pin down.
 //
-// Modes (AF_SCORER=exact|incremental|quantized, default incremental):
-//   exact        no caching; every query recomputes. The audit baseline.
+// Modes (default incremental):
+//   exact        no caching; every query recomputes. The test oracle.
 //   incremental  norms/Gram/reference distances cached across mutations.
-//   quantized    incremental, plus an int8 candidate fast path: approximate
-//                distances carry a certified error bound so callers can keep
-//                clear-cut verdicts cheap and exactly rescore only the
-//                borderline updates (score/quantized.h).
 //
 // Lifetime contract: Insert borrows the caller's float storage — the span
 // must stay valid until the slot is evicted, the scorer is cleared, or the
@@ -39,11 +34,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <span>
 #include <vector>
-
-#include "score/quantized.h"
 
 namespace obs {
 class Counter;
@@ -52,24 +44,13 @@ class Gauge;
 
 namespace score {
 
-enum class ScorerMode { kExact, kIncremental, kQuantized };
+enum class ScorerMode { kExact, kIncremental };
 
 const char* ScorerModeName(ScorerMode mode);
 
-// AF_SCORER environment switch; unknown values fall back to the default
-// (incremental) — misconfiguration must never change verdicts, only speed.
-ScorerMode ScorerModeFromEnv();
-
-// Test hook: overrides ScorerModeFromEnv() process-wide until cleared with
-// std::nullopt. Lets equivalence tests drive both backends through code that
-// constructs scorers from the environment.
-void SetScorerModeOverrideForTest(std::optional<ScorerMode> mode);
-
 class StreamingScorer {
  public:
-  explicit StreamingScorer(ScorerMode mode = ScorerModeFromEnv());
-
-  ScorerMode mode() const { return mode_; }
+  explicit StreamingScorer(ScorerMode mode = ScorerMode::kIncremental);
 
   // --- Buffer mutations -----------------------------------------------
   // Borrows `delta` (see the lifetime contract above); returns the slot id
@@ -112,23 +93,11 @@ class StreamingScorer {
   // ‖ref − ω‖ via the same identity.
   double DistanceToReference(std::uint64_t key, int slot);
 
-  // --- Quantized candidate fast path (kQuantized) ---------------------
-  // Approximate distance-to-reference with a certified error bound:
-  // |value − exact| ≤ bound always holds. In non-quantized modes this
-  // degrades to the exact answer with bound 0 (exact == true), so callers
-  // can use one code path unconditionally.
-  struct ApproxDistance {
-    double value = 0.0;
-    double bound = 0.0;
-    bool exact = false;
-  };
-  ApproxDistance ApproxDistanceToReference(std::uint64_t key, int slot);
-
  private:
   struct Slot {
     std::span<const float> delta;
     bool live = false;
-    // Caches (incremental/quantized only).
+    // Caches (incremental only).
     double sq_norm = 0.0;
     bool sq_norm_valid = false;
     // Gram row vs other slots, indexed by slot id; valid entries tracked by
@@ -138,16 +107,12 @@ class StreamingScorer {
     std::uint64_t epoch = 0;  // bumped on (re)insert
     // key → (reference epoch, distance).
     std::map<std::uint64_t, std::pair<std::uint64_t, double>> ref_cache;
-    QuantizedVec quantized;  // kQuantized only
-    bool quantized_valid = false;
   };
 
   struct Reference {
     std::span<const float> estimate;
     double sq_norm = 0.0;
     std::uint64_t epoch = 0;
-    QuantizedVec quantized;
-    bool quantized_valid = false;
   };
 
   bool caching() const { return mode_ != ScorerMode::kExact; }
@@ -155,7 +120,6 @@ class StreamingScorer {
   double ComputeDot(const Slot& a, const Slot& b) const;
   double ComputeReferenceDistance(const Reference& ref, Slot& s);
   void ActivatePairwise();
-  const QuantizedVec& SlotQuantized(int slot);
 
   ScorerMode mode_;
   std::vector<Slot> slots_;
@@ -171,7 +135,6 @@ class StreamingScorer {
   obs::Counter* evicts_;
   obs::Counter* ref_dist_computed_;
   obs::Counter* ref_dist_cached_;
-  obs::Counter* approx_dist_;
   obs::Gauge* slots_gauge_;
 };
 

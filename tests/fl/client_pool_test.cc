@@ -89,7 +89,6 @@ std::vector<std::vector<float>> RunVirtualFleet(int kClients, int waves,
   net::ServerOptions server_options;
   server_options.port = 0;
   server_options.io_timeout_ms = 30000;
-  server_options.reactor_shards = 4;
   net::Server server(server_options);
 
   const std::size_t total_jobs =

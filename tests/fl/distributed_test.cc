@@ -255,31 +255,24 @@ TEST(DistributedTest, VirtualPoolTcpMatchesInprocBitExactly) {
   EXPECT_EQ(virt.evicted_clients, 0u);
 }
 
-TEST(DistributedTest, ShardedReactorMatchesSingleShardBitExactly) {
-  // Reactor sharding only changes which epoll fd wakes the loop; per-shard
-  // staging buffers are combined by job position before the defense pass,
-  // so shard count must never leak into the result.
+TEST(DistributedTest, VirtualPoolMatchesRealFleetBitExactly) {
+  // The virtual pool multiplexes many clients per connection and trains on
+  // a few workers; updates still land by job position, so the fleet shape
+  // must never leak into the result.
   ExperimentConfig config = SmallConfig(70);
   config.attack = attacks::AttackKind::kLie;
   config.defense = DefenseKind::kAsyncFilter;
   config.sim.rounds = 5;
   config.transport = TransportKind::kTcp;
+  const SimulationResult real_fleet = RunExperiment(config);
 
-  config.net.reactor_shards = 1;
-  const SimulationResult one_shard = RunExperiment(config);
-
-  config.net.reactor_shards = 4;
-  const SimulationResult four_shards = RunExperiment(config);
-
-  // And the virtual pool over a sharded reactor, all at once.
   config.pool.mode = ClientPoolSpec::Mode::kVirtual;
   config.pool.connections = 5;
   config.pool.workers = 2;
   const SimulationResult pooled = RunExperiment(config);
 
-  EXPECT_EQ(four_shards.final_model, one_shard.final_model);  // bit-exact
-  EXPECT_EQ(pooled.final_model, one_shard.final_model);       // bit-exact
-  EXPECT_EQ(four_shards.evicted_clients, 0u);
+  EXPECT_EQ(pooled.final_model, real_fleet.final_model);  // bit-exact
+  EXPECT_EQ(real_fleet.evicted_clients, 0u);
   EXPECT_EQ(pooled.evicted_clients, 0u);
 }
 

@@ -1,9 +1,5 @@
-// Tests for the sharded fd-readiness reactor (net/reactor.h) and the
-// server built on it, run against BOTH backends: the platform default
-// (epoll on Linux) and the poll() fallback forced via AF_REACTOR=poll.
-// The backend is chosen at Reactor construction, so flipping the
-// environment inside a fixture covers the fallback on the primary
-// platform instead of leaving it to exotic CI runners.
+// Tests for the epoll fd-readiness reactor (net/reactor.h) and the server
+// built on it.
 //
 // The soak test at the bottom is the PR's scale gate: ~1k concurrent
 // connections accepted, a slice evicted, and the evicted ids reconnected
@@ -16,9 +12,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <set>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -61,39 +55,32 @@ struct Pipe {
   int write_fd = -1;
 };
 
-// Param "poll" forces the fallback; "default" leaves the platform choice
-// (epoll on Linux) in place.
-class ReactorBackendTest : public ::testing::TestWithParam<const char*> {
- protected:
-  void SetUp() override {
-    if (std::string(GetParam()) == "poll") {
-      ::setenv("AF_REACTOR", "poll", 1);
-    } else {
-      ::unsetenv("AF_REACTOR");
+// Raises RLIMIT_NOFILE toward its hard cap and returns the soft limit we
+// ended up with.
+rlim_t RaiseFdLimit() {
+  struct rlimit lim {};
+  if (::getrlimit(RLIMIT_NOFILE, &lim) != 0) {
+    return 1024;
+  }
+  if (lim.rlim_cur < lim.rlim_max) {
+    struct rlimit want = lim;
+    want.rlim_cur = std::min<rlim_t>(lim.rlim_max, 65536);
+    if (::setrlimit(RLIMIT_NOFILE, &want) == 0) {
+      lim = want;
     }
   }
-  void TearDown() override { ::unsetenv("AF_REACTOR"); }
+  return lim.rlim_cur;
+}
 
+class ReactorBackendTest : public ::testing::Test {
+ protected:
   static bool HasEventFor(const std::vector<ReactorEvent>& events, int fd) {
     return std::any_of(events.begin(), events.end(),
                        [fd](const ReactorEvent& e) { return e.fd == fd; });
   }
 };
 
-TEST_P(ReactorBackendTest, BackendNameMatchesEnvironment) {
-  Reactor reactor;
-  if (std::string(GetParam()) == "poll") {
-    EXPECT_STREQ(reactor.backend_name(), "poll");
-  } else {
-#if defined(__linux__)
-    EXPECT_STREQ(reactor.backend_name(), "epoll");
-#else
-    EXPECT_STREQ(reactor.backend_name(), "poll");
-#endif
-  }
-}
-
-TEST_P(ReactorBackendTest, ReportsReadReadinessLevelTriggered) {
+TEST_F(ReactorBackendTest, ReportsReadReadinessLevelTriggered) {
   Reactor reactor;
   Pipe pipe;
   reactor.Add(pipe.read_fd);
@@ -126,7 +113,7 @@ TEST_P(ReactorBackendTest, ReportsReadReadinessLevelTriggered) {
   EXPECT_EQ(reactor.Wait(0, &events), 0u) << "removed fd still watched";
 }
 
-TEST_P(ReactorBackendTest, WriteInterestTogglesWritableEvents) {
+TEST_F(ReactorBackendTest, WriteInterestTogglesWritableEvents) {
   Reactor reactor;
   Pipe pipe;
   reactor.Add(pipe.write_fd);
@@ -150,7 +137,7 @@ TEST_P(ReactorBackendTest, WriteInterestTogglesWritableEvents) {
   EXPECT_EQ(reactor.Wait(0, &events), 0u);
 }
 
-TEST_P(ReactorBackendTest, WakeupInterruptsBlockedWait) {
+TEST_F(ReactorBackendTest, WakeupInterruptsBlockedWait) {
   Reactor reactor;
   const auto start = std::chrono::steady_clock::now();
   std::thread waker([&reactor] {
@@ -166,7 +153,7 @@ TEST_P(ReactorBackendTest, WakeupInterruptsBlockedWait) {
   EXPECT_TRUE(events.empty()) << "wakeup surfaced as an fd event";
 }
 
-TEST_P(ReactorBackendTest, WakeupIsStickyAcrossWaits) {
+TEST_F(ReactorBackendTest, WakeupIsStickyAcrossWaits) {
   Reactor reactor;
   reactor.Wakeup();  // posted while nothing is waiting
   const auto start = std::chrono::steady_clock::now();
@@ -181,26 +168,58 @@ TEST_P(ReactorBackendTest, WakeupIsStickyAcrossWaits) {
   EXPECT_EQ(reactor.Wait(0, &events), 0u);
 }
 
-TEST_P(ReactorBackendTest, ShardAssignmentIsStableAndInRange) {
-  ReactorOptions options;
-  options.shards = 4;
-  Reactor reactor(options);
-  EXPECT_EQ(reactor.shard_count(), 4);
-
-  std::vector<Pipe> pipes(16);
-  std::set<int> shards_used;
+TEST_F(ReactorBackendTest, EventsOnManyFdsSurfaceInOneWait) {
+  Reactor reactor;
+  std::vector<Pipe> pipes(12);
   for (const Pipe& p : pipes) {
     reactor.Add(p.read_fd);
-    const int shard = reactor.ShardOf(p.read_fd);
-    ASSERT_GE(shard, 0);
-    ASSERT_LT(shard, 4);
-    EXPECT_EQ(reactor.ShardOf(p.read_fd), shard) << "assignment not stable";
-    shards_used.insert(shard);
+    p.WriteByte();
   }
-  EXPECT_EQ(reactor.watched_count(), pipes.size());
-  // The Knuth hash must actually spread sequential fds, not pile them up.
-  EXPECT_GT(shards_used.size(), 1u);
-  EXPECT_EQ(reactor.ShardOf(999999), -1);
+  std::vector<ReactorEvent> events;
+  reactor.Wait(1000, &events);
+  std::set<int> fds;
+  for (const ReactorEvent& e : events) {
+    fds.insert(e.fd);
+  }
+  for (const Pipe& p : pipes) {
+    EXPECT_EQ(fds.count(p.read_fd), 1u) << "fd " << p.read_fd << " missing";
+  }
+}
+
+// More ready fds than one Wait batch (256): level-triggered epoll hands the
+// leftovers out first on the next Wait, so every fd surfaces within two
+// Waits and none is reported twice by the same Wait.
+TEST_F(ReactorBackendTest, ReadyFdsBeyondOneBatchSurfaceWithinTwoWaits) {
+  const rlim_t soft = RaiseFdLimit();
+  // Two fds per pipe; leave headroom for the suite's own files.
+  const std::size_t kPipes = static_cast<std::size_t>(
+      std::min<rlim_t>(320, soft > 128 ? (soft - 128) / 2 : 0));
+  ASSERT_GT(kPipes, 256u) << "fd limit too low to exceed one Wait batch";
+
+  Reactor reactor;
+  std::vector<Pipe> pipes(kPipes);
+  for (const Pipe& p : pipes) {
+    reactor.Add(p.read_fd);
+    p.WriteByte();
+  }
+  EXPECT_EQ(reactor.watched_count(), kPipes);
+
+  std::set<int> seen;
+  for (int wait = 0; wait < 2; ++wait) {
+    std::vector<ReactorEvent> events;
+    reactor.Wait(1000, &events);
+    EXPECT_LE(events.size(), 256u) << "Wait exceeded its batch";
+    std::set<int> this_wait;
+    for (const ReactorEvent& e : events) {
+      EXPECT_TRUE(this_wait.insert(e.fd).second)
+          << "fd " << e.fd << " repeated within one Wait";
+      seen.insert(e.fd);
+    }
+  }
+  for (const Pipe& p : pipes) {
+    EXPECT_EQ(seen.count(p.read_fd), 1u)
+        << "fd " << p.read_fd << " never surfaced in two Waits";
+  }
 
   for (const Pipe& p : pipes) {
     reactor.Remove(p.read_fd);
@@ -208,35 +227,7 @@ TEST_P(ReactorBackendTest, ShardAssignmentIsStableAndInRange) {
   EXPECT_EQ(reactor.watched_count(), 0u);
 }
 
-TEST_P(ReactorBackendTest, EventsOnManyShardsSurfaceInOneWait) {
-  ReactorOptions options;
-  options.shards = 4;
-  Reactor reactor(options);
-  std::vector<Pipe> pipes(12);
-  for (const Pipe& p : pipes) {
-    reactor.Add(p.read_fd);
-    p.WriteByte();
-  }
-  std::vector<ReactorEvent> events;
-  std::size_t seen = 0;
-  // Level-triggered, so a couple of ticks gather every ready fd even when a
-  // backend caps its per-wait batch.
-  for (int tick = 0; tick < 10 && seen < pipes.size(); ++tick) {
-    events.clear();
-    reactor.Wait(100, &events);
-    std::set<int> fds;
-    for (const ReactorEvent& e : events) {
-      fds.insert(e.fd);
-    }
-    seen = 0;
-    for (const Pipe& p : pipes) {
-      seen += fds.count(p.read_fd);
-    }
-  }
-  EXPECT_EQ(seen, pipes.size());
-}
-
-TEST_P(ReactorBackendTest, HangupIsReported) {
+TEST_F(ReactorBackendTest, HangupIsReported) {
   Reactor reactor;
   Pipe pipe;
   reactor.Add(pipe.read_fd);
@@ -253,36 +244,11 @@ TEST_P(ReactorBackendTest, HangupIsReported) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Backends, ReactorBackendTest,
-                         ::testing::Values("default", "poll"),
-                         [](const auto& info) {
-                           return std::string(info.param) == "poll"
-                                      ? std::string("poll_fallback")
-                                      : std::string("platform_default");
-                         });
-
 // ---------------------------------------------------------------------------
 // Scale soak: ~1k concurrent connections through one Server loop, with an
 // eviction wave and reconnects. This is the accept/evict/reconnect gate for
-// the sharded reactor (reactor_shards=4 so cross-shard dispatch is real).
+// the reactor.
 // ---------------------------------------------------------------------------
-
-// Raises RLIMIT_NOFILE toward its hard cap and returns the soft limit we
-// ended up with.
-rlim_t RaiseFdLimit() {
-  struct rlimit lim {};
-  if (::getrlimit(RLIMIT_NOFILE, &lim) != 0) {
-    return 1024;
-  }
-  if (lim.rlim_cur < lim.rlim_max) {
-    struct rlimit want = lim;
-    want.rlim_cur = std::min<rlim_t>(lim.rlim_max, 65536);
-    if (::setrlimit(RLIMIT_NOFILE, &want) == 0) {
-      lim = want;
-    }
-  }
-  return lim.rlim_cur;
-}
 
 TEST(ReactorSoakTest, ThousandConnectionsAcceptEvictReconnect) {
   const rlim_t soft = RaiseFdLimit();
@@ -295,9 +261,7 @@ TEST(ReactorSoakTest, ThousandConnectionsAcceptEvictReconnect) {
   ServerOptions options;
   options.port = 0;
   options.io_timeout_ms = 30000;
-  options.reactor_shards = 4;
   Server server(options);
-  EXPECT_EQ(server.reactor_shards(), 4);
 
   std::vector<int> disconnected;
   server.SetDisconnectHandler(
@@ -321,15 +285,6 @@ TEST(ReactorSoakTest, ThousandConnectionsAcceptEvictReconnect) {
   ASSERT_TRUE(server.WaitForClients(static_cast<std::size_t>(kClients), 30000))
       << "only " << server.ConnectedCount() << " of " << kClients
       << " clients completed their handshake";
-
-  // Connections must be spread across every shard, or the hash is broken.
-  std::set<int> shards_used;
-  for (int id = 0; id < kClients; ++id) {
-    const int shard = server.ShardOfClient(id);
-    ASSERT_GE(shard, 0) << "client " << id << " has no shard";
-    shards_used.insert(shard);
-  }
-  EXPECT_EQ(shards_used.size(), 4u);
 
   // Evict every 10th client; only those ids may fire the disconnect hook.
   std::set<int> evicted;

@@ -1,4 +1,4 @@
-// AF_SCORER=exact and AF_SCORER=incremental must be indistinguishable at the
+// The exact and incremental scorer backends must be indistinguishable at the
 // defense level: bit-identical scores, verdicts, and aggregated deltas for
 // every configuration, every round. This is the acceptance gate for routing
 // AsyncFilter through the streaming scorer.
@@ -106,35 +106,6 @@ TEST(ScorerEquivalenceTest, ExactAndIncrementalAreBitIdenticalAcrossGrid) {
                   exact[round].deferred[d].client_id);
       }
     }
-  }
-}
-
-// The environment switch reaches the same code path as the explicit option.
-TEST(ScorerEquivalenceTest, EnvOverrideMatchesExplicitOption) {
-  const Grid grid{12, ScoreNormalization::kGroupRms, MidBandPolicy::kAccept};
-  const auto explicit_exact = RunRounds(score::ScorerMode::kExact, grid, 3);
-
-  score::SetScorerModeOverrideForTest(score::ScorerMode::kExact);
-  AsyncFilterOptions options;  // scorer_mode unset: reads the environment
-  options.normalization = grid.normalization;
-  options.mid_band = grid.mid_band;
-  AsyncFilter filter(options);
-  score::SetScorerModeOverrideForTest(std::nullopt);
-  EXPECT_EQ(filter.scorer_mode(), score::ScorerMode::kExact);
-
-  std::mt19937_64 server_rng = util::RngFactory(77).Stream("equiv-server");
-  std::mt19937_64 data_rng = util::RngFactory(77).Stream("equiv-data");
-  std::vector<float> global(24, 0.0f);
-  for (std::size_t round = 0; round < 3; ++round) {
-    auto updates = MakeBuffer(grid.buffer_size, round, data_rng);
-    defense::FilterContext ctx;
-    ctx.round = round;
-    ctx.global_model = global;
-    ctx.max_staleness = 20;
-    ctx.rng = &server_rng;
-    const auto result = filter.Process(ctx, updates);
-    EXPECT_EQ(result.scores, explicit_exact[round].scores);
-    EXPECT_EQ(result.verdicts, explicit_exact[round].verdicts);
   }
 }
 

@@ -1,7 +1,7 @@
 // Property tests for the streaming scorer: the incremental backend must be
 // bit-identical to the exact backend after EVERY mutation in arbitrary
-// insert/evict/reference-update sequences — the contract the AF_SCORER
-// switch rests on.
+// insert/evict/reference-update sequences — the contract that makes exact
+// a valid test oracle for incremental.
 #include "score/scorer.h"
 
 #include <gtest/gtest.h>
@@ -26,17 +26,6 @@ std::vector<float> RandomVec(std::mt19937_64& rng, std::size_t dim) {
 TEST(ScorerModeTest, NamesRoundTrip) {
   EXPECT_STREQ(ScorerModeName(ScorerMode::kExact), "exact");
   EXPECT_STREQ(ScorerModeName(ScorerMode::kIncremental), "incremental");
-  EXPECT_STREQ(ScorerModeName(ScorerMode::kQuantized), "quantized");
-}
-
-TEST(ScorerModeTest, TestOverrideWinsOverEnvironment) {
-  SetScorerModeOverrideForTest(ScorerMode::kExact);
-  EXPECT_EQ(ScorerModeFromEnv(), ScorerMode::kExact);
-  SetScorerModeOverrideForTest(ScorerMode::kQuantized);
-  EXPECT_EQ(ScorerModeFromEnv(), ScorerMode::kQuantized);
-  SetScorerModeOverrideForTest(std::nullopt);
-  // Default (no AF_SCORER in the test environment): incremental.
-  EXPECT_EQ(ScorerModeFromEnv(), ScorerMode::kIncremental);
 }
 
 TEST(StreamingScorerTest, SlotLifecycleAndRecycling) {
@@ -168,38 +157,6 @@ TEST(StreamingScorerPropertyTest, IncrementalMatchesExactOnRandomSequences) {
         }
       }
     }
-  }
-}
-
-TEST(StreamingScorerTest, ApproxDistanceDegradesToExactOutsideQuantizedMode) {
-  StreamingScorer scorer(ScorerMode::kIncremental);
-  std::mt19937_64 rng(5);
-  auto a = RandomVec(rng, 64);
-  auto ref = RandomVec(rng, 64);
-  const int slot = scorer.Insert(a);
-  scorer.SetReference(0, ref);
-  const auto approx = scorer.ApproxDistanceToReference(0, slot);
-  EXPECT_TRUE(approx.exact);
-  EXPECT_EQ(approx.bound, 0.0);
-  EXPECT_EQ(approx.value, scorer.DistanceToReference(0, slot));
-}
-
-TEST(StreamingScorerTest, QuantizedApproxDistanceIsWithinCertifiedBound) {
-  std::mt19937_64 rng(6);
-  for (int trial = 0; trial < 20; ++trial) {
-    StreamingScorer quant(ScorerMode::kQuantized);
-    StreamingScorer exact(ScorerMode::kExact);
-    auto a = RandomVec(rng, 257);  // odd size exercises the unroll tail
-    auto ref = RandomVec(rng, 257);
-    const int qs = quant.Insert(a);
-    const int es = exact.Insert(a);
-    quant.SetReference(0, ref);
-    exact.SetReference(0, ref);
-    const auto approx = quant.ApproxDistanceToReference(0, qs);
-    const double truth = exact.DistanceToReference(0, es);
-    EXPECT_FALSE(approx.exact);
-    EXPECT_LE(std::fabs(approx.value - truth), approx.bound)
-        << "trial " << trial;
   }
 }
 
