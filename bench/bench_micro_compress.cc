@@ -25,6 +25,7 @@
 
 #include "compress/codec.h"
 #include "fl/experiment.h"
+#include "nn/models.h"
 #include "obs/json.h"
 #include "util/flags.h"
 
@@ -57,13 +58,16 @@ struct ShapeCase {
   std::size_t count;  // float32 elements
 };
 
-// LeNet-surrogate parameter count up through a VGG-ish FC block. Delta
-// vectors in the simulator are exactly these flattened shapes.
-const ShapeCase kShapes[] = {
-    {"lenet_params_62k", 61706},
-    {"conv_block_512k", 524288},
-    {"vgg_fc_4m", 4194304},
-};
+// The LeNet surrogate's parameter vector (4,538 floats, the delta the
+// default run sends) up through a VGG-ish FC block.
+std::vector<ShapeCase> Shapes() {
+  return {
+      {"lenet_params",
+       nn::MakeLeNet5Surrogate().factory(/*seed=*/0)->NumParameters()},
+      {"conv_block_512k", 524288},
+      {"vgg_fc_4m", 4194304},
+  };
+}
 
 struct CodecResult {
   std::string codec;
@@ -181,7 +185,7 @@ int main(int argc, char** argv) {
   std::vector<CodecResult> micro;
   for (const std::string& name : compress::ListNames()) {
     const compress::Codec& codec = compress::Get(name);
-    for (const ShapeCase& shape : kShapes) {
+    for (const ShapeCase& shape : Shapes()) {
       if (smoke && shape.count > 600000) {
         continue;  // keep CI runs short; the full run covers the 4M shape
       }
@@ -193,7 +197,7 @@ int main(int argc, char** argv) {
   // ≥3.5× with int8 and ≥8× with topk-delta (k = 10%).
   bool ratio_targets_met = true;
   for (const CodecResult& r : micro) {
-    if (r.shape != std::string("lenet_params_62k")) {
+    if (r.shape != std::string("lenet_params")) {
       continue;
     }
     if (r.codec == "int8" && r.ratio < 3.5) {

@@ -2,6 +2,14 @@
 // seed's naive triple-loop MatMul, plus the reduction kernels behind the
 // defense distance math and an end-to-end training-step throughput record.
 //
+// The GEMM cases are the ones a training step issues: every forward,
+// weight-gradient and input-gradient product of the LeNet surrogate
+// (FashionMNIST defaults, batch 32) and the VGG surrogate (CIFAR-10
+// defaults, batch 64), with the transposes the layers use. They are derived
+// from nn::ModelSpec and fl::MakeDefaultConfig by walking the model's
+// layers, so they follow the models. The first layer has no input-gradient
+// product (Sequential::Backward never computes it).
+//
 // Emits BENCH_gemm.json (see docs/PERFORMANCE.md for the schema) so the
 // kernel perf trajectory is tracked per PR alongside the table/figure
 // records. `--smoke` shrinks repetitions for CI; `--out=FILE` redirects the
@@ -14,6 +22,9 @@
 #include <string>
 #include <vector>
 
+#include "fl/experiment.h"
+#include "nn/conv2d.h"
+#include "nn/dense.h"
 #include "nn/loss.h"
 #include "nn/models.h"
 #include "obs/json.h"
@@ -71,19 +82,68 @@ double MedianSecondsPerCall(std::size_t runs, std::size_t reps, Fn&& fn) {
 }
 
 struct GemmCase {
-  const char* label;  // which layer/pass this shape stands in for
+  std::string label;  // model.layer.pass_MxNxK
+  tensor::Op op_a, op_b;
   std::size_t m, n, k;
 };
 
-// LeNet-surrogate working set (batch 64) plus a square reference point.
-// 64×120×400 is the acceptance shape from ISSUE 3.
-const GemmCase kCases[] = {
-    {"fc1_forward_64x120x400", 64, 120, 400},
-    {"fc1_dgrad_64x400x120", 64, 400, 120},
-    {"fc1_wgrad_120x400x64", 120, 400, 64},
-    {"conv2_forward_12x9216x150", 12, 9216, 150},
-    {"square_256", 256, 256, 256},
-};
+void AddCase(std::vector<GemmCase>& cases, const std::string& layer,
+             const char* pass, tensor::Op op_a, tensor::Op op_b,
+             std::size_t m, std::size_t n, std::size_t k) {
+  cases.push_back({layer + "." + pass + "_" + std::to_string(m) + "x" +
+                       std::to_string(n) + "x" + std::to_string(k),
+                   op_a, op_b, m, n, k});
+}
+
+// The GEMMs one training step of `profile`'s default model issues, in
+// layer order, found by pushing a batch through the layers one at a time.
+std::vector<GemmCase> TrainingStepGemms(const std::string& key,
+                                        data::Profile profile) {
+  using tensor::Op;
+  const fl::ExperimentConfig config = fl::MakeDefaultConfig(profile, 1);
+  const nn::ModelSpec spec = fl::ModelForProfile(profile, config.image_side);
+  auto model = spec.factory(1);
+  tensor::Shape shape = {config.sim.local.batch_size};
+  shape.insert(shape.end(), spec.sample_shape.begin(),
+               spec.sample_shape.end());
+  tensor::Tensor x(shape);
+  std::vector<GemmCase> cases;
+  int convs = 0, denses = 0;
+  for (std::size_t i = 0; i < model->NumLayers(); ++i) {
+    nn::Layer& layer = model->layer(i);
+    const tensor::Shape& w = layer.Params().empty()
+                                 ? tensor::Shape{}
+                                 : layer.Params()[0]->shape();
+    if (auto* conv = dynamic_cast<nn::Conv2d*>(&layer)) {
+      // out_flat (out × N·Ho·Wo) = W (out × patch) · cols (patch × N·Ho·Wo).
+      const std::size_t out = w[0], patch = w[1] * w[2] * w[3];
+      const std::size_t pad2 = 2 * conv->padding();
+      const std::size_t cols = x.dim(0) * (x.dim(2) + pad2 - w[2] + 1) *
+                               (x.dim(3) + pad2 - w[3] + 1);
+      const std::string name = key + ".conv" + std::to_string(++convs);
+      AddCase(cases, name, "forward", Op::kNone, Op::kNone, out, cols, patch);
+      AddCase(cases, name, "wgrad", Op::kNone, Op::kTranspose, out, patch,
+              cols);
+      if (i > 0) {
+        AddCase(cases, name, "dgrad", Op::kTranspose, Op::kNone, patch, cols,
+                out);
+      }
+    } else if (dynamic_cast<nn::Dense*>(&layer) != nullptr) {
+      // out (B × out) = X (B × in) · Wᵀ.
+      const std::size_t out = w[0], in = w[1], batch = x.dim(0);
+      const std::string name = key + ".fc" + std::to_string(++denses);
+      AddCase(cases, name, "forward", Op::kNone, Op::kTranspose, batch, out,
+              in);
+      AddCase(cases, name, "wgrad", Op::kTranspose, Op::kNone, out, in,
+              batch);
+      if (i > 0) {
+        AddCase(cases, name, "dgrad", Op::kNone, Op::kNone, batch, in, out);
+      }
+    }
+    x = layer.Forward(x);
+  }
+  return cases;
+}
 
 struct GemmResult {
   GemmCase shape;
@@ -134,6 +194,10 @@ GemmResult BenchGemm(const GemmCase& shape, bool smoke,
     const double reps = target / std::max(sec_per_call, 1e-9);
     return std::max<std::size_t>(1, static_cast<std::size_t>(reps));
   };
+  // A and B hold the same element counts in either layout; the seed lane
+  // always reads them untransposed (its transposed variants are gone).
+  const std::size_t lda = shape.op_a == tensor::Op::kNone ? shape.k : shape.m;
+  const std::size_t ldb = shape.op_b == tensor::Op::kNone ? shape.n : shape.k;
   // One untimed warm-up call calibrates reps and touches the buffers.
   const auto warm = Clock::now();
   SeedMatMul(a.data(), b.data(), c.data(), shape.m, shape.n, shape.k);
@@ -145,20 +209,19 @@ GemmResult BenchGemm(const GemmCase& shape, bool smoke,
   });
   const double est_blocked = warm_sec / 4.0;  // reps guess; self-corrects fast
   result.blocked_sec = MedianSecondsPerCall(runs, reps_for(est_blocked), [&] {
-    tensor::Sgemm(tensor::Op::kNone, tensor::Op::kNone, shape.m, shape.n,
-                  shape.k, a.data(), shape.k, b.data(), shape.n, c.data(),
-                  shape.n);
+    tensor::Sgemm(shape.op_a, shape.op_b, shape.m, shape.n, shape.k, a.data(),
+                  lda, b.data(), ldb, c.data(), shape.n);
   });
   result.blocked_mt_sec =
       MedianSecondsPerCall(runs, reps_for(result.blocked_sec), [&] {
-        tensor::Sgemm(tensor::Op::kNone, tensor::Op::kNone, shape.m, shape.n,
-                      shape.k, a.data(), shape.k, b.data(), shape.n, c.data(),
-                      shape.n, nullptr, 0.0f, &pool);
+        tensor::Sgemm(shape.op_a, shape.op_b, shape.m, shape.n, shape.k,
+                      a.data(), lda, b.data(), ldb, c.data(), shape.n, nullptr,
+                      0.0f, &pool);
       });
   std::printf(
-      "  %-28s seed %8.2f ms (%6.2f GF/s)  blocked %8.2f ms (%6.2f GF/s)  "
+      "  %-34s seed %8.2f ms (%6.2f GF/s)  blocked %8.2f ms (%6.2f GF/s)  "
       "x%-5.1f  mt %8.2f ms (x%.1f)\n",
-      shape.label, result.seed_sec * 1e3, Gflops(shape, result.seed_sec),
+      shape.label.c_str(), result.seed_sec * 1e3, Gflops(shape, result.seed_sec),
       result.blocked_sec * 1e3, Gflops(shape, result.blocked_sec),
       result.seed_sec / result.blocked_sec, result.blocked_mt_sec * 1e3,
       result.seed_sec / result.blocked_mt_sec);
@@ -262,14 +325,22 @@ int main(int argc, char** argv) {
   std::printf("bench_micro_gemm (isa=%s, mt threads=%zu%s)\n", IsaName(),
               pool.size(), smoke ? ", smoke" : "");
   std::printf("GEMM: blocked SGEMM vs seed triple loop\n");
+  std::vector<GemmCase> cases =
+      TrainingStepGemms("lenet", data::Profile::kFashionMnist);
+  for (GemmCase& shape : TrainingStepGemms("vgg", data::Profile::kCifar10)) {
+    cases.push_back(std::move(shape));
+  }
   std::vector<GemmResult> gemm_results;
-  for (const GemmCase& shape : kCases) {
+  for (const GemmCase& shape : cases) {
     gemm_results.push_back(BenchGemm(shape, smoke, pool, rng));
   }
   std::printf("Reduction kernels (defense distance math)\n");
   std::vector<ReductionResult> red_results;
-  red_results.push_back(BenchReduction("dot", 4704, smoke, rng));
-  red_results.push_back(BenchReduction("squared_distance", 4704, smoke, rng));
+  // The LeNet surrogate's delta (4,538 floats) is what the defenses compare.
+  const std::size_t delta =
+      nn::MakeLeNet5Surrogate().factory(/*seed=*/0)->NumParameters();
+  red_results.push_back(BenchReduction("dot", delta, smoke, rng));
+  red_results.push_back(BenchReduction("squared_distance", delta, smoke, rng));
   red_results.push_back(
       BenchReduction("squared_distance", 100000, smoke, rng));
   std::printf("Training step (LeNet surrogate, full fwd+loss+bwd)\n");
@@ -285,6 +356,8 @@ int main(int argc, char** argv) {
   for (const GemmResult& r : gemm_results) {
     json.BeginObject();
     json.Key("label").String(r.shape.label);
+    json.Key("op_a").String(r.shape.op_a == tensor::Op::kNone ? "N" : "T");
+    json.Key("op_b").String(r.shape.op_b == tensor::Op::kNone ? "N" : "T");
     json.Key("m").UInt(r.shape.m);
     json.Key("n").UInt(r.shape.n);
     json.Key("k").UInt(r.shape.k);

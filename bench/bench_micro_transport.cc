@@ -29,6 +29,7 @@
 #include "net/server.h"
 #include "net/shm_ring.h"
 #include "net/socket.h"
+#include "nn/models.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "util/arena.h"
@@ -39,7 +40,13 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-constexpr std::size_t kDeltaFloats = 61706;  // LeNet-surrogate param count
+// The delta size the default run actually sends: the LeNet surrogate's
+// parameter count (4,538 floats).
+std::size_t LeNetDeltaSize() {
+  static const std::size_t size =
+      nn::MakeLeNet5Surrogate().factory(/*seed=*/0)->NumParameters();
+  return size;
+}
 
 struct LaneResult {
   std::string lane;
@@ -52,7 +59,7 @@ struct LaneResult {
 
 std::vector<float> MakeDelta(std::mt19937_64& rng) {
   std::normal_distribution<float> dist(0.0f, 0.02f);
-  std::vector<float> delta(kDeltaFloats);
+  std::vector<float> delta(LeNetDeltaSize());
   for (float& v : delta) {
     v = dist(rng);
   }
@@ -90,10 +97,10 @@ LaneResult FinishLane(const char* lane, std::size_t updates, double seconds,
   result.updates = updates;
   result.seconds = seconds;
   result.updates_per_sec = static_cast<double>(updates) / seconds;
-  result.payload_mb_s = static_cast<double>(updates) * kDeltaFloats *
+  result.payload_mb_s = static_cast<double>(updates) * LeNetDeltaSize() *
                         sizeof(float) / seconds / 1e6;
   const double per_update_bytes =
-      static_cast<double>(kDeltaFloats) * sizeof(float);
+      static_cast<double>(LeNetDeltaSize()) * sizeof(float);
   result.copies_per_update =
       updates_delta == 0
           ? 0.0
@@ -226,7 +233,7 @@ int main(int argc, char** argv) {
   const std::vector<float> delta = MakeDelta(rng);
 
   std::printf("bench_micro_transport%s — %zu updates of %zu floats per lane\n",
-              smoke ? " (smoke)" : "", updates, kDeltaFloats);
+              smoke ? " (smoke)" : "", updates, LeNetDeltaSize());
 
   std::vector<LaneResult> lanes;
   lanes.push_back(RunInproc(updates, delta));
@@ -250,7 +257,7 @@ int main(int argc, char** argv) {
   json.BeginObject();
   json.Key("name").String("transport");
   json.Key("smoke").Bool(smoke);
-  json.Key("delta_floats").UInt(kDeltaFloats);
+  json.Key("delta_floats").UInt(LeNetDeltaSize());
   json.Key("updates_per_lane").UInt(updates);
   json.Key("shm_vs_tcp_speedup").Number(speedup);
   json.Key("shm_speedup_met").Bool(speedup_met);

@@ -1,5 +1,5 @@
 // 2-D convolution (stride 1, symmetric zero padding) via whole-batch
-// im2col + one GEMM per pass.
+// im2col + one GEMM per pass, with an optional fused epilogue.
 //
 // Activations are NCHW; the weight is (out_channels, in_channels, k, k).
 //
@@ -8,6 +8,17 @@
 // one GEMM for dW (accumulated in place) and one for the patch gradients,
 // which col2im scatters back per sample. The per-sample im2col/col2im and
 // NCHW scatter loops fan out over tensor::ComputePool() when one is set.
+//
+// Epilogue: the channel-major GEMM output is written to NCHW with the bias
+// added and, when fused, ReLU (and a 2×2 stride-2 max-pool) applied in the
+// same pass, so Conv2d(kReluMaxPool2) computes bit for bit what the stack
+// Conv2d → ReLU → MaxPool2d(2) computes, forward and backward. Forward keeps
+// one byte per returned element: bit s set means the gradient of that
+// element flows to window slot s (slot = di·2 + dj; a ReLU-only epilogue
+// uses slot 0 of a 1×1 window). A slot's bit is set iff it is the window's
+// first strict maximum after ReLU (slot 0 when no element beats -inf) and
+// its pre-activation is not <= 0. Backward rebuilds the channel-major output
+// gradient from those bits.
 //
 // Scratch memory: the patch matrices live in per-layer arena buffers that
 // are reused across batches (grow-only, freed with the layer). Upper
@@ -18,6 +29,7 @@
 // batch sizes).
 #pragma once
 
+#include <cstdint>
 #include <random>
 #include <vector>
 
@@ -25,22 +37,45 @@
 
 namespace nn {
 
+// What Conv2d applies to conv + bias before returning it.
+enum class ConvEpilogue : std::uint8_t {
+  kNone,          // conv + bias
+  kRelu,          // ReLU(conv + bias)
+  kReluMaxPool2,  // MaxPool2d(2)(ReLU(conv + bias)); Ho and Wo must be even
+};
+
 class Conv2d : public Layer {
  public:
+  // Plain convolution; the reference the fused epilogues are tested against.
   Conv2d(std::size_t in_channels, std::size_t out_channels, std::size_t kernel,
          std::size_t padding, std::mt19937_64& rng);
+  // Convolution followed by `epilogue`. Same parameters, same initialisation
+  // and the same rng draws as the plain constructor.
+  Conv2d(std::size_t in_channels, std::size_t out_channels, std::size_t kernel,
+         std::size_t padding, ConvEpilogue epilogue, std::mt19937_64& rng);
 
   tensor::Tensor Forward(const tensor::Tensor& input) override;
   tensor::Tensor Backward(const tensor::Tensor& grad_output) override;
+  // dW and db only: skips the patch-gradient GEMM and col2im.
+  void AccumulateGrads(const tensor::Tensor& grad_output) override;
 
   std::vector<tensor::Tensor*> Params() override { return {&weight_, &bias_}; }
   std::vector<tensor::Tensor*> Grads() override {
     return {&grad_weight_, &grad_bias_};
   }
 
+  std::size_t padding() const { return padding_; }
   std::string Name() const override { return "Conv2d"; }
 
  private:
+  // Sizes of one pass, derived from the input shape.
+  struct Geometry {
+    std::size_t batch, h, w, ho, wo, patch;
+    std::size_t howo;  // pixels per output map before pooling
+    std::size_t ld;    // columns of the patch matrix: batch · howo
+  };
+  Geometry GeometryFor(const tensor::Shape& input_shape) const;
+
   // Writes sample n's (C·k·k) × (Ho·Wo) patch block into the batch patch
   // matrix at `dst` (row stride `ld`); every position is written, so the
   // arena needs no pre-zeroing.
@@ -56,17 +91,19 @@ class Conv2d : public Layer {
   std::size_t out_channels_;
   std::size_t kernel_;
   std::size_t padding_;
+  ConvEpilogue epilogue_;
   tensor::Tensor weight_;       // (out, in, k, k)
   tensor::Tensor bias_;         // (out)
   tensor::Tensor grad_weight_;
   tensor::Tensor grad_bias_;
-  tensor::Tensor cached_input_;  // (N, C, H, W)
+  tensor::Shape cached_shape_;  // (N, C, H, W) of the last Forward input
 
   // Reused arenas (see the class comment for the memory bound).
   std::vector<float> cols_;      // (patch, N·Ho·Wo) im2col of the input
   std::vector<float> dcols_;     // (patch, N·Ho·Wo) patch gradients
   std::vector<float> out_flat_;  // (out, N·Ho·Wo) channel-major activations
   std::vector<float> gout_flat_; // (out, N·Ho·Wo) channel-major out-grads
+  std::vector<std::uint8_t> mask_;  // fused epilogues: gradient routing bits
 };
 
 }  // namespace nn

@@ -24,6 +24,13 @@ class Layer {
   // dL/d(input). Must be called after a matching Forward.
   virtual tensor::Tensor Backward(const tensor::Tensor& grad_output) = 0;
 
+  // Accumulates parameter gradients exactly as Backward does, without
+  // producing dL/d(input). Sequential calls this on its first layer, whose
+  // input gradient nobody reads; layers that can skip that work override it.
+  virtual void AccumulateGrads(const tensor::Tensor& grad_output) {
+    Backward(grad_output);
+  }
+
   // Trainable parameters and their gradient accumulators, index-aligned.
   // Parameterless layers return empty vectors.
   virtual std::vector<tensor::Tensor*> Params() { return {}; }

@@ -20,29 +20,29 @@ tensor::Tensor MaxPool2d::Forward(const tensor::Tensor& input) {
 
   cached_shape_ = input.shape();
   tensor::Tensor out({batch, channels, ho, wo});
-  argmax_.assign(out.size(), 0);
+  argmax_.resize(out.size());
+  const float* in = input.data().data();
   std::size_t oi = 0;
-  for (std::size_t n = 0; n < batch; ++n) {
-    for (std::size_t c = 0; c < channels; ++c) {
-      for (std::size_t i = 0; i < ho; ++i) {
-        for (std::size_t j = 0; j < wo; ++j, ++oi) {
-          float best = -std::numeric_limits<float>::infinity();
-          std::size_t best_idx = 0;
-          for (std::size_t di = 0; di < window_; ++di) {
-            for (std::size_t dj = 0; dj < window_; ++dj) {
-              const std::size_t ii = i * window_ + di;
-              const std::size_t jj = j * window_ + dj;
-              const std::size_t flat = ((n * channels + c) * h + ii) * w + jj;
-              const float v = input[flat];
-              if (v > best) {
-                best = v;
-                best_idx = flat;
-              }
-            }
+  for (std::size_t plane = 0; plane < batch * channels; ++plane) {
+    for (std::size_t i = 0; i < ho; ++i) {
+      for (std::size_t j = 0; j < wo; ++j, ++oi) {
+        // First strict maximum wins, as selects rather than branches. An
+        // all-NaN (or all -inf) window routes its gradient to its own first
+        // element.
+        const std::size_t first = (plane * h + i * window_) * w + j * window_;
+        float best = -std::numeric_limits<float>::infinity();
+        std::size_t best_idx = first;
+        for (std::size_t di = 0; di < window_; ++di) {
+          for (std::size_t dj = 0; dj < window_; ++dj) {
+            const std::size_t flat = first + di * w + dj;
+            const float v = in[flat];
+            const bool better = v > best;
+            best = better ? v : best;
+            best_idx = better ? flat : best_idx;
           }
-          out[oi] = best;
-          argmax_[oi] = best_idx;
         }
+        out[oi] = best;
+        argmax_[oi] = best_idx;
       }
     }
   }

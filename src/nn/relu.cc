@@ -4,13 +4,16 @@
 
 namespace nn {
 
+// Both passes are selects, not branches: conv activations have nearly
+// random signs, so a branch here mispredicts about half the time.
+
 tensor::Tensor ReLU::Forward(const tensor::Tensor& input) {
   cached_input_ = input;
   tensor::Tensor out = input;
-  for (float& x : out.vec()) {
-    if (x < 0.0f) {
-      x = 0.0f;
-    }
+  float* x = out.data().data();
+  const std::size_t n = out.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    x[i] = x[i] < 0.0f ? 0.0f : x[i];  // keeps -0.0 and NaN
   }
   return out;
 }
@@ -18,10 +21,11 @@ tensor::Tensor ReLU::Forward(const tensor::Tensor& input) {
 tensor::Tensor ReLU::Backward(const tensor::Tensor& grad_output) {
   AF_CHECK_EQ(grad_output.size(), cached_input_.size());
   tensor::Tensor dx = grad_output;
-  for (std::size_t i = 0; i < dx.size(); ++i) {
-    if (cached_input_[i] <= 0.0f) {
-      dx[i] = 0.0f;
-    }
+  float* g = dx.data().data();
+  const float* in = cached_input_.data().data();
+  const std::size_t n = dx.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    g[i] = in[i] <= 0.0f ? 0.0f : g[i];
   }
   return dx;
 }

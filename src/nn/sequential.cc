@@ -19,13 +19,13 @@ tensor::Tensor Sequential::Forward(const tensor::Tensor& input) {
   return activation;
 }
 
-tensor::Tensor Sequential::Backward(const tensor::Tensor& grad_output) {
+void Sequential::Backward(const tensor::Tensor& grad_output) {
   AF_CHECK(!layers_.empty());
   tensor::Tensor grad = grad_output;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    grad = (*it)->Backward(grad);
+  for (std::size_t i = layers_.size() - 1; i > 0; --i) {
+    grad = layers_[i]->Backward(grad);
   }
-  return grad;
+  layers_.front()->AccumulateGrads(grad);
 }
 
 void Sequential::ZeroGrads() {

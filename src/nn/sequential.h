@@ -23,8 +23,9 @@ class Sequential {
   tensor::Tensor Forward(const tensor::Tensor& input);
 
   // Propagates dL/d(output) back through every layer, accumulating parameter
-  // gradients. Returns dL/d(input).
-  tensor::Tensor Backward(const tensor::Tensor& grad_output);
+  // gradients. The first layer gets Layer::AccumulateGrads, so dL/d(input)
+  // is never computed.
+  void Backward(const tensor::Tensor& grad_output);
 
   void ZeroGrads();
 
@@ -34,6 +35,7 @@ class Sequential {
 
   std::size_t NumParameters() const;
   std::size_t NumLayers() const { return layers_.size(); }
+  Layer& layer(std::size_t i) { return *layers_.at(i); }
 
   // Flattened-parameter interop with the FL substrate.
   std::vector<float> GetFlatParams() const;

@@ -2,7 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
+
+#include "nn/maxpool2d.h"
+#include "nn/relu.h"
+#include "tensor/gemm.h"
+#include "util/check.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace nn {
 namespace {
@@ -29,6 +38,20 @@ TEST(Conv2dTest, OutputShapeWithoutPadding) {
   tensor::Tensor out = conv.Forward(in);
   EXPECT_EQ(out.dim(2), 3u);
   EXPECT_EQ(out.dim(3), 3u);
+}
+
+TEST(Conv2dTest, KernelTallerThanInputThrows) {
+  auto rng = Rng();
+  Conv2d conv(1, 1, 3, 0, rng);
+  tensor::Tensor in({1, 1, 2, 5});
+  EXPECT_THROW(conv.Forward(in), util::CheckError);
+}
+
+TEST(Conv2dTest, KernelWiderThanInputThrows) {
+  auto rng = Rng();
+  Conv2d conv(1, 1, 3, 0, rng);
+  tensor::Tensor in({1, 1, 5, 2});
+  EXPECT_THROW(conv.Forward(in), util::CheckError);
 }
 
 TEST(Conv2dTest, IdentityKernelReproducesInput) {
@@ -136,6 +159,222 @@ TEST(Conv2dTest, TranslationEquivariance) {
       EXPECT_NEAR(ob.At(0, 0, i, j + 1), oa.At(0, 0, i, j), 1e-5);
     }
   }
+}
+
+TEST(Conv2dTest, AccumulateGradsMatchesBackwardParameterGradients) {
+  for (ConvEpilogue epilogue : {ConvEpilogue::kNone, ConvEpilogue::kRelu,
+                                ConvEpilogue::kReluMaxPool2}) {
+    auto rng = Rng(8);
+    Conv2d conv(2, 3, 3, 1, epilogue, rng);
+    tensor::Tensor in({3, 2, 6, 4});
+    in.FillNormal(0.0f, 1.0f, rng);
+    tensor::Tensor out = conv.Forward(in);
+    tensor::Tensor grad_out(out.shape());
+    grad_out.FillNormal(0.0f, 1.0f, rng);
+
+    conv.Backward(grad_out);
+    const std::vector<float> dw = conv.Grads()[0]->vec();
+    const std::vector<float> db = conv.Grads()[1]->vec();
+    conv.ZeroGrads();
+    conv.AccumulateGrads(grad_out);
+    EXPECT_EQ(conv.Grads()[0]->vec(), dw);
+    EXPECT_EQ(conv.Grads()[1]->vec(), db);
+  }
+}
+
+TEST(Conv2dTest, FusedPoolNeedsEvenOutput) {
+  auto rng = Rng();
+  Conv2d conv(1, 1, 3, 1, ConvEpilogue::kReluMaxPool2, rng);
+  tensor::Tensor in({1, 1, 5, 4});
+  EXPECT_THROW(conv.Forward(in), util::CheckError);
+}
+
+TEST(Conv2dTest, FusedBackwardChecksPooledGradientShape) {
+  auto rng = Rng();
+  Conv2d conv(1, 2, 3, 1, ConvEpilogue::kReluMaxPool2, rng);
+  tensor::Tensor in({1, 1, 4, 4});
+  EXPECT_EQ(conv.Forward(in).shape(), (tensor::Shape{1, 2, 2, 2}));
+  tensor::Tensor unpooled({1, 2, 4, 4});
+  EXPECT_THROW(conv.Backward(unpooled), util::CheckError);
+}
+
+// --- Fused epilogue vs the reference Conv2d → ReLU → MaxPool2d stack -----
+
+bool SameBytes(const tensor::Tensor& a, const tensor::Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data().data(), b.data().data(),
+                     a.size() * sizeof(float)) == 0;
+}
+
+// Values that make ReLU and pooling hit their edge cases: exact ties,
+// exact zeros of both signs, negatives (all-negative windows) and NaN.
+float EdgeValue(std::mt19937_64& rng, bool with_nan) {
+  std::uniform_int_distribution<int> pick(0, 19);
+  std::normal_distribution<float> normal(0.0f, 1.0f);
+  const int p = pick(rng);
+  if (p < 8) return normal(rng);
+  if (p < 10) return -0.0f;
+  if (p < 11) return 0.0f;
+  if (p < 13) return 1.0f;
+  if (p < 15) return -1.0f;
+  if (p < 17) return 2.0f;
+  if (p < 19) return -std::abs(normal(rng));
+  return with_nan ? std::numeric_limits<float>::quiet_NaN() : 0.5f;
+}
+
+struct FusedCase {
+  ConvEpilogue epilogue;
+  std::size_t batch, in, out, kernel, padding, h, w;
+  bool integer_weights;  // weights in {-1, 0, 1}: exact ties between pixels
+  bool nan_input;
+};
+
+// Runs one case through both paths and compares every output bit.
+void ExpectFusedMatchesReference(const FusedCase& c, std::uint64_t seed) {
+  SCOPED_TRACE(::testing::Message()
+               << "seed " << seed << " batch " << c.batch << " in " << c.in
+               << " out " << c.out << " k " << c.kernel << " pad "
+               << c.padding << " h " << c.h << " w " << c.w);
+  const bool pool = c.epilogue == ConvEpilogue::kReluMaxPool2;
+  auto rng_ref = Rng(seed);
+  auto rng_fused = Rng(seed);
+  Conv2d ref(c.in, c.out, c.kernel, c.padding, rng_ref);
+  Conv2d fused(c.in, c.out, c.kernel, c.padding, c.epilogue, rng_fused);
+  ASSERT_EQ(ref.Params()[0]->vec(), fused.Params()[0]->vec());
+
+  auto rng = Rng(seed + 1000);
+  if (c.integer_weights) {
+    std::uniform_int_distribution<int> pick(-1, 1);
+    for (float& v : ref.Params()[0]->vec()) {
+      v = static_cast<float>(pick(rng));
+    }
+    for (float& v : ref.Params()[1]->vec()) {
+      v = pick(rng) == 0 ? -0.0f : 0.0f;
+    }
+  } else {
+    ref.Params()[1]->FillNormal(0.0f, 0.5f, rng);
+  }
+  *fused.Params()[0] = *ref.Params()[0];
+  *fused.Params()[1] = *ref.Params()[1];
+
+  tensor::Tensor x({c.batch, c.in, c.h, c.w});
+  for (float& v : x.vec()) {
+    v = EdgeValue(rng, c.nan_input);
+  }
+  if (c.nan_input) {
+    // A NaN block in the last sample: with a 1×1 kernel it makes whole
+    // pooling windows NaN, with wider kernels it spreads into them.
+    for (std::size_t i = 0; i < std::min<std::size_t>(2, c.h); ++i) {
+      for (std::size_t j = 0; j < std::min<std::size_t>(2, c.w); ++j) {
+        x.At(c.batch - 1, 0, i, j) = std::numeric_limits<float>::quiet_NaN();
+      }
+    }
+  }
+
+  ReLU relu;
+  MaxPool2d maxpool(2);
+  tensor::Tensor want = relu.Forward(ref.Forward(x));
+  if (pool) {
+    want = maxpool.Forward(want);
+  }
+  const tensor::Tensor got = fused.Forward(x);
+  ASSERT_TRUE(SameBytes(got, want)) << "forward output differs";
+
+  tensor::Tensor grad_out(want.shape());
+  for (float& v : grad_out.vec()) {
+    v = EdgeValue(rng, /*with_nan=*/false);
+  }
+  tensor::Tensor grad = grad_out;
+  if (pool) {
+    grad = maxpool.Backward(grad);
+  }
+  const tensor::Tensor want_dx = ref.Backward(relu.Backward(grad));
+  const tensor::Tensor got_dx = fused.Backward(grad_out);
+  EXPECT_TRUE(SameBytes(got_dx, want_dx)) << "input gradient differs";
+  EXPECT_TRUE(SameBytes(*fused.Grads()[0], *ref.Grads()[0]))
+      << "weight gradient differs";
+  EXPECT_TRUE(SameBytes(*fused.Grads()[1], *ref.Grads()[1]))
+      << "bias gradient differs";
+}
+
+TEST(Conv2dFusedTest, MatchesReferenceStackBitForBit) {
+  auto rng = Rng(99);
+  std::uniform_int_distribution<std::size_t> small(1, 3);
+  std::uniform_int_distribution<int> coin(0, 1);
+  int cases = 0;
+  for (ConvEpilogue epilogue :
+       {ConvEpilogue::kRelu, ConvEpilogue::kReluMaxPool2}) {
+    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+      FusedCase c;
+      c.epilogue = epilogue;
+      c.batch = small(rng);
+      c.in = small(rng);
+      c.out = small(rng) + 1;
+      c.kernel = coin(rng) ? 3 : 1;
+      c.padding = c.kernel == 3 ? static_cast<std::size_t>(coin(rng)) : 0;
+      // Output side 2·small (even, as the fused pool needs); input side
+      // follows from the kernel and padding.
+      const std::size_t ho = 2 * small(rng), wo = 2 * small(rng);
+      c.h = ho + c.kernel - 1 - 2 * c.padding;
+      c.w = wo + c.kernel - 1 - 2 * c.padding;
+      c.integer_weights = seed % 2 == 0;
+      c.nan_input = seed % 5 == 0;
+      ExpectFusedMatchesReference(c, seed);
+      ++cases;
+    }
+  }
+  EXPECT_EQ(cases, 80);
+}
+
+TEST(Conv2dFusedTest, ComputePoolFanOutMatchesSerialBitForBit) {
+  // With a compute pool installed, the per-sample loops (and the pooling
+  // epilogue's per-thread scratch) run on pool threads.
+  auto run = [](util::ThreadPool* pool) {
+    tensor::SetComputePool(pool);
+    auto rng = Rng(21);
+    Conv2d conv(2, 4, 3, 1, ConvEpilogue::kReluMaxPool2, rng);
+    tensor::Tensor x({9, 2, 6, 8});
+    x.FillNormal(0.0f, 1.0f, rng);
+    std::vector<float> bytes = conv.Forward(x).vec();
+    tensor::Tensor grad_out({9, 4, 3, 4});
+    grad_out.FillNormal(0.0f, 1.0f, rng);
+    const tensor::Tensor dx = conv.Backward(grad_out);
+    bytes.insert(bytes.end(), dx.vec().begin(), dx.vec().end());
+    for (tensor::Tensor* g : conv.Grads()) {
+      bytes.insert(bytes.end(), g->vec().begin(), g->vec().end());
+    }
+    tensor::SetComputePool(nullptr);
+    return bytes;
+  };
+  util::ThreadPool pool(3);
+  const std::vector<float> serial = run(nullptr);
+  const std::vector<float> pooled = run(&pool);
+  ASSERT_EQ(serial.size(), pooled.size());
+  EXPECT_EQ(std::memcmp(serial.data(), pooled.data(),
+                        serial.size() * sizeof(float)),
+            0);
+}
+
+TEST(Conv2dFusedTest, AllNaNWindowPassesItsGradientToSlotZero) {
+  // A 1×1 identity conv makes the pre-activations equal the input, so the
+  // second sample's window is all NaN: its pooled value is -inf (no element
+  // beats it) and its gradient goes to the window's first element, whose
+  // NaN pre-activation passes ReLU.
+  auto rng = Rng();
+  Conv2d fused(1, 1, 1, 0, ConvEpilogue::kReluMaxPool2, rng);
+  fused.Params()[0]->Fill(1.0f);
+  fused.Params()[1]->Fill(0.0f);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  tensor::Tensor x({2, 1, 2, 2}, {-1.0f, 3.0f, 3.0f, 2.0f, nan, nan, nan, nan});
+  const tensor::Tensor out = fused.Forward(x);
+  EXPECT_FLOAT_EQ(out[0], 3.0f);
+  EXPECT_EQ(out[1], -std::numeric_limits<float>::infinity());
+  const tensor::Tensor dx =
+      fused.Backward(tensor::Tensor({2, 1, 1, 1}, {1.5f, 2.5f}));
+  const std::vector<float> want = {0.0f, 1.5f, 0.0f, 0.0f,
+                                   2.5f, 0.0f, 0.0f, 0.0f};
+  // dx = Wᵀ·g with W = 1, so dx equals the routed gradient.
+  EXPECT_EQ(dx.vec(), want);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "util/check.h"
 
 namespace nn {
@@ -60,6 +62,31 @@ TEST(MaxPool2dTest, NegativeInputsHandled) {
   tensor::Tensor in({1, 1, 2, 2}, {-5, -1, -3, -2});
   tensor::Tensor out = pool.Forward(in);
   EXPECT_FLOAT_EQ(out[0], -1.0f);
+}
+
+TEST(MaxPool2dTest, WindowWithNothingAboveMinusInfRoutesToItsOwnFirstElement) {
+  // Sample 0 is ordinary; sample 1's windows are all NaN and all -inf. No
+  // element beats the -inf start, so each window's gradient must go to its
+  // own first element — not to element 0 of the batch.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float ninf = -std::numeric_limits<float>::infinity();
+  MaxPool2d pool(2);
+  tensor::Tensor in({2, 1, 2, 4}, {1, 5, 2, 0,     //
+                                   3, 4, 8, 7,     //
+                                   nan, nan, ninf, ninf,  //
+                                   nan, nan, ninf, ninf});
+  tensor::Tensor out = pool.Forward(in);
+  EXPECT_FLOAT_EQ(out[0], 5.0f);
+  EXPECT_FLOAT_EQ(out[1], 8.0f);
+  EXPECT_EQ(out[2], ninf);
+  EXPECT_EQ(out[3], ninf);
+  tensor::Tensor grad_out({2, 1, 1, 2}, {1.0f, 2.0f, 3.0f, 4.0f});
+  tensor::Tensor grad_in = pool.Backward(grad_out);
+  const std::vector<float> want = {0, 1, 0, 0,  //
+                                   0, 0, 2, 0,  //
+                                   3, 0, 4, 0,  //
+                                   0, 0, 0, 0};
+  EXPECT_EQ(grad_in.vec(), want);
 }
 
 }  // namespace

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "nn/flatten.h"
 #include "nn/relu.h"
 
@@ -25,6 +28,26 @@ TEST(ReLUTest, BackwardMasksGradient) {
   EXPECT_FLOAT_EQ(grad_in[0], 0.0f);
   EXPECT_FLOAT_EQ(grad_in[1], 10.0f);
   EXPECT_FLOAT_EQ(grad_in[2], 0.0f);  // gradient at exactly 0 is 0
+}
+
+TEST(ReLUTest, KeepsNegativeZeroAndNaN) {
+  // x < 0 ? 0 : x: -0.0 and NaN are not < 0, so they pass through; the
+  // backward pass zeroes where the input is <= 0, which NaN is not.
+  ReLU relu;
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  tensor::Tensor in({1, 3}, {-0.0f, nan, -2.0f});
+  tensor::Tensor out = relu.Forward(in);
+  EXPECT_EQ(out[0], 0.0f);
+  EXPECT_TRUE(std::signbit(out[0]));
+  EXPECT_TRUE(std::isnan(out[1]));
+  EXPECT_EQ(out[2], 0.0f);
+  EXPECT_FALSE(std::signbit(out[2]));
+  tensor::Tensor grad_in =
+      relu.Backward(tensor::Tensor({1, 3}, {-5.0f, -0.0f, 4.0f}));
+  EXPECT_EQ(grad_in[0], 0.0f);
+  EXPECT_FALSE(std::signbit(grad_in[0]));
+  EXPECT_TRUE(std::signbit(grad_in[1]));  // NaN input: g itself passes
+  EXPECT_EQ(grad_in[2], 0.0f);
 }
 
 TEST(ReLUTest, HasNoParameters) {

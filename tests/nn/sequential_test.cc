@@ -88,6 +88,65 @@ TEST(SequentialTest, ZeroGradsClearsAllAccumulators) {
   }
 }
 
+// Passes activations and gradients through unchanged, counting calls.
+class CountingLayer : public Layer {
+ public:
+  tensor::Tensor Forward(const tensor::Tensor& input) override {
+    return input;
+  }
+  tensor::Tensor Backward(const tensor::Tensor& grad_output) override {
+    ++backward_calls;
+    return grad_output;
+  }
+  void AccumulateGrads(const tensor::Tensor&) override { ++accumulate_calls; }
+  std::string Name() const override { return "Counting"; }
+
+  int backward_calls = 0;
+  int accumulate_calls = 0;
+};
+
+TEST(SequentialTest, BackwardAsksTheFirstLayerForParameterGradientsOnly) {
+  Sequential model;
+  auto first = std::make_unique<CountingLayer>();
+  auto second = std::make_unique<CountingLayer>();
+  CountingLayer* first_ptr = first.get();
+  CountingLayer* second_ptr = second.get();
+  model.Add(std::move(first)).Add(std::move(second));
+  tensor::Tensor in({2, 3});
+  model.Backward(model.Forward(in));
+  EXPECT_EQ(first_ptr->backward_calls, 0);
+  EXPECT_EQ(first_ptr->accumulate_calls, 1);
+  EXPECT_EQ(second_ptr->backward_calls, 1);
+  EXPECT_EQ(second_ptr->accumulate_calls, 0);
+}
+
+TEST(SequentialTest, DefaultAccumulateGradsMatchesBackward) {
+  // Dense keeps Layer's default AccumulateGrads (Backward with the result
+  // dropped), so a Dense-first model gets exactly Backward's gradients.
+  auto model = SmallModel(3);
+  auto rng = util::RngFactory(4).Stream("x");
+  tensor::Tensor in({3, 4});
+  in.FillNormal(0.0f, 1.0f, rng);
+  tensor::Tensor grad({3, 2});
+  grad.FillNormal(0.0f, 1.0f, rng);
+  model->Forward(in);
+  model->Backward(grad);
+
+  auto init = util::RngFactory(3).Stream("m");
+  Dense d1(4, 3, init);
+  ReLU relu;
+  Dense d2(3, 2, init);
+  d2.Forward(relu.Forward(d1.Forward(in)));
+  d1.Backward(relu.Backward(d2.Backward(grad)));
+  std::vector<float> want;
+  for (Layer* layer : std::initializer_list<Layer*>{&d1, &d2}) {
+    for (tensor::Tensor* g : layer->Grads()) {
+      want.insert(want.end(), g->vec().begin(), g->vec().end());
+    }
+  }
+  EXPECT_EQ(model->GetFlatGrads(), want);
+}
+
 TEST(SequentialTest, EmptyModelForwardThrows) {
   Sequential model;
   tensor::Tensor in({1, 1});
