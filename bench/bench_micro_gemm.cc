@@ -12,10 +12,14 @@
 //
 // Emits BENCH_gemm.json (see docs/PERFORMANCE.md for the schema) so the
 // kernel perf trajectory is tracked per PR alongside the table/figure
-// records. `--smoke` shrinks repetitions for CI; `--out=FILE` redirects the
-// JSON; `--threads=N` sizes the pool used for the multi-threaded columns.
+// records. Each GEMM record also carries the bytes one call packs (its
+// gemm.bytes_packed delta), which shows which training GEMMs still copy
+// operands. `--smoke` shrinks repetitions for CI; `--out=FILE` redirects
+// the JSON; `--threads=N` sizes the pool used for the multi-threaded
+// columns.
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <random>
@@ -28,6 +32,7 @@
 #include "nn/loss.h"
 #include "nn/models.h"
 #include "obs/json.h"
+#include "obs/metrics.h"
 #include "tensor/gemm.h"
 #include "tensor/kernels.h"
 #include "tensor/tensor.h"
@@ -150,6 +155,7 @@ struct GemmResult {
   double seed_sec = 0.0;
   double blocked_sec = 0.0;
   double blocked_mt_sec = 0.0;
+  std::uint64_t bytes_packed = 0;  // per blocked call (gemm.bytes_packed)
 };
 
 struct ReductionResult {
@@ -204,6 +210,11 @@ GemmResult BenchGemm(const GemmCase& shape, bool smoke,
   const double warm_sec = std::max(SecondsSince(warm), 1e-9);
 
   GemmResult result{shape};
+  obs::Counter& packed = obs::DefaultRegistry().GetCounter("gemm.bytes_packed");
+  const std::uint64_t packed_before = packed.Value();
+  tensor::Sgemm(shape.op_a, shape.op_b, shape.m, shape.n, shape.k, a.data(),
+                lda, b.data(), ldb, c.data(), shape.n);
+  result.bytes_packed = packed.Value() - packed_before;
   result.seed_sec = MedianSecondsPerCall(runs, reps_for(warm_sec), [&] {
     SeedMatMul(a.data(), b.data(), c.data(), shape.m, shape.n, shape.k);
   });
@@ -220,11 +231,12 @@ GemmResult BenchGemm(const GemmCase& shape, bool smoke,
       });
   std::printf(
       "  %-34s seed %8.2f ms (%6.2f GF/s)  blocked %8.2f ms (%6.2f GF/s)  "
-      "x%-5.1f  mt %8.2f ms (x%.1f)\n",
+      "x%-5.1f  mt %8.2f ms (x%.1f)  packed %7llu B\n",
       shape.label.c_str(), result.seed_sec * 1e3, Gflops(shape, result.seed_sec),
       result.blocked_sec * 1e3, Gflops(shape, result.blocked_sec),
       result.seed_sec / result.blocked_sec, result.blocked_mt_sec * 1e3,
-      result.seed_sec / result.blocked_mt_sec);
+      result.seed_sec / result.blocked_mt_sec,
+      static_cast<unsigned long long>(result.bytes_packed));
   return result;
 }
 
@@ -367,6 +379,7 @@ int main(int argc, char** argv) {
     json.Key("seed_gflops").Number(Gflops(r.shape, r.seed_sec));
     json.Key("blocked_gflops").Number(Gflops(r.shape, r.blocked_sec));
     json.Key("blocked_mt_gflops").Number(Gflops(r.shape, r.blocked_mt_sec));
+    json.Key("bytes_packed_per_call").UInt(r.bytes_packed);
     json.Key("speedup").Number(r.blocked_sec > 0.0
                                    ? r.seed_sec / r.blocked_sec
                                    : 0.0);

@@ -29,6 +29,27 @@ void ForEachSample(std::size_t batch,
   }
 }
 
+// Copies the n floats of one short image row with fixed-size moves the
+// compiler inlines: a library memcpy call per 8-float row costs more than
+// the copy itself.
+void CopyRow(const float* src, std::size_t n, float* dst) {
+  std::size_t j = 0;
+  for (; j + 8 <= n; j += 8) {
+    std::memcpy(dst + j, src + j, 8 * sizeof(float));
+  }
+  if (j + 4 <= n) {
+    std::memcpy(dst + j, src + j, 4 * sizeof(float));
+    j += 4;
+  }
+  if (j + 2 <= n) {
+    std::memcpy(dst + j, src + j, 2 * sizeof(float));
+    j += 2;
+  }
+  if (j < n) {
+    dst[j] = src[j];
+  }
+}
+
 // Epilogues, one output map (one sample, one channel) at a time. `s` is the
 // map's ho×wo slice of the channel-major GEMM output, without bias. The
 // signs of conv outputs are close to random, so every choice here is a
@@ -181,35 +202,26 @@ void Conv2d::Im2ColSample(const tensor::Tensor& input, std::size_t n,
                           std::size_t ld) const {
   const std::size_t ho = h + 2 * padding_ - kernel_ + 1;
   const std::size_t wo = w + 2 * padding_ - kernel_ + 1;
-  const float* in = input.data().data();
-  const long pad = static_cast<long>(padding_);
+  const std::size_t wp = w + 2 * padding_;
+  // Each channel is copied into a zero-padded image first, so a patch row
+  // is ho fixed-length copies with no bounds checks. Only the interior is
+  // rewritten per channel; the border stays zero.
+  thread_local std::vector<float> tl_padded;
+  tl_padded.assign((h + 2 * padding_) * wp, 0.0f);
+  float* padded = tl_padded.data();
+  const float* in = input.data().data() + n * in_channels_ * h * w;
   for (std::size_t c = 0; c < in_channels_; ++c) {
+    const float* plane = in + c * h * w;
+    for (std::size_t i = 0; i < h; ++i) {
+      CopyRow(plane + i * w, w, padded + (i + padding_) * wp + padding_);
+    }
     for (std::size_t ki = 0; ki < kernel_; ++ki) {
       for (std::size_t kj = 0; kj < kernel_; ++kj) {
         const std::size_t row = (c * kernel_ + ki) * kernel_ + kj;
-        float* drow = dst + row * ld;
-        // Valid output columns: 0 <= oj + kj - pad < w. Out-of-range
-        // positions are padding and get explicit zeros (the arena is
-        // reused, so every position must be written).
-        const long lo = std::max(0L, pad - static_cast<long>(kj));
-        const long hi = std::min(static_cast<long>(wo),
-                                 static_cast<long>(w) + pad -
-                                     static_cast<long>(kj));
+        float* d = dst + row * ld;
+        const float* s = padded + ki * wp + kj;
         for (std::size_t oi = 0; oi < ho; ++oi) {
-          float* d = drow + oi * wo;
-          const long ii = static_cast<long>(oi + ki) - pad;
-          if (ii < 0 || ii >= static_cast<long>(h) || hi <= lo) {
-            std::fill(d, d + wo, 0.0f);
-            continue;
-          }
-          std::fill(d, d + lo, 0.0f);
-          const float* s =
-              in + ((n * in_channels_ + c) * h + static_cast<std::size_t>(ii)) *
-                       w +
-              static_cast<std::size_t>(lo + static_cast<long>(kj) - pad);
-          std::memcpy(d + lo, s,
-                      static_cast<std::size_t>(hi - lo) * sizeof(float));
-          std::fill(d + hi, d + wo, 0.0f);
+          CopyRow(s + oi * wp, wo, d + oi * wo);
         }
       }
     }
@@ -221,35 +233,36 @@ void Conv2d::Col2ImSample(const float* src, std::size_t ld, std::size_t n,
                           tensor::Tensor& grad_input) const {
   const std::size_t ho = h + 2 * padding_ - kernel_ + 1;
   const std::size_t wo = w + 2 * padding_ - kernel_ + 1;
-  float* out = grad_input.data().data();
-  const long pad = static_cast<long>(padding_);
+  const std::size_t wp = w + 2 * padding_;
+  const std::size_t padded_size = (h + 2 * padding_) * wp;
+  // Accumulates into a zero-padded image in the (c, ki, kj, oi, oj) order
+  // of a direct scatter, so every interior element sees the same adds from
+  // the same +0 start; the border collects the padding's gradients and is
+  // dropped. A sum that starts at +0 is never -0, so writing the interior
+  // over grad_input's zeros equals adding it.
+  thread_local std::vector<float> tl_padded;
+  if (tl_padded.size() < padded_size) {
+    tl_padded.resize(padded_size);
+  }
+  float* padded = tl_padded.data();
+  float* out = grad_input.data().data() + n * in_channels_ * h * w;
   for (std::size_t c = 0; c < in_channels_; ++c) {
+    std::fill(padded, padded + padded_size, 0.0f);
     for (std::size_t ki = 0; ki < kernel_; ++ki) {
       for (std::size_t kj = 0; kj < kernel_; ++kj) {
         const std::size_t row = (c * kernel_ + ki) * kernel_ + kj;
-        const float* srow = src + row * ld;
-        const long lo = std::max(0L, pad - static_cast<long>(kj));
-        const long hi = std::min(static_cast<long>(wo),
-                                 static_cast<long>(w) + pad -
-                                     static_cast<long>(kj));
-        if (hi <= lo) {
-          continue;
-        }
+        const float* s = src + row * ld;
+        float* o = padded + ki * wp + kj;
         for (std::size_t oi = 0; oi < ho; ++oi) {
-          const long ii = static_cast<long>(oi + ki) - pad;
-          if (ii < 0 || ii >= static_cast<long>(h)) {
-            continue;
-          }
-          const float* s = srow + oi * wo;
-          float* o =
-              out +
-              ((n * in_channels_ + c) * h + static_cast<std::size_t>(ii)) * w +
-              static_cast<std::size_t>(lo + static_cast<long>(kj) - pad);
-          for (long oj = lo; oj < hi; ++oj) {
-            o[oj - lo] += s[oj];
+          for (std::size_t oj = 0; oj < wo; ++oj) {
+            o[oi * wp + oj] += s[oi * wo + oj];
           }
         }
       }
+    }
+    float* plane = out + c * h * w;
+    for (std::size_t i = 0; i < h; ++i) {
+      CopyRow(padded + (i + padding_) * wp + padding_, w, plane + i * w);
     }
   }
 }

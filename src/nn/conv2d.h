@@ -26,7 +26,8 @@
 // 2·out_channels·N·Ho·Wo floats for the flattened activations — batch-scaled
 // where the seed per-sample path kept only 2·patch·Ho·Wo, which is the
 // price of whole-batch GEMM operands (~a few MB at this repo's model and
-// batch sizes).
+// batch sizes). im2col and col2im each add one (H+2p)×(W+2p) padded image
+// per thread.
 #pragma once
 
 #include <cstdint>
@@ -77,12 +78,14 @@ class Conv2d : public Layer {
   Geometry GeometryFor(const tensor::Shape& input_shape) const;
 
   // Writes sample n's (C·k·k) × (Ho·Wo) patch block into the batch patch
-  // matrix at `dst` (row stride `ld`); every position is written, so the
-  // arena needs no pre-zeroing.
+  // matrix at `dst` (row stride `ld`), reading each channel from a
+  // zero-padded copy; every position is written, so the arena needs no
+  // pre-zeroing.
   void Im2ColSample(const tensor::Tensor& input, std::size_t n, std::size_t h,
                     std::size_t w, float* dst, std::size_t ld) const;
-  // Accumulates sample n's patch-gradient block (read from `src`, row
-  // stride `ld`) back into image gradients.
+  // Sums sample n's patch-gradient block (read from `src`, row stride
+  // `ld`) into a zero-padded image per channel and writes its interior
+  // into sample n of `grad_input`.
   void Col2ImSample(const float* src, std::size_t ld, std::size_t n,
                     std::size_t h, std::size_t w,
                     tensor::Tensor& grad_input) const;

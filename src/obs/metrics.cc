@@ -220,6 +220,7 @@ std::size_t MetricsRegistry::MetricCount() const {
 void MetricsRegistry::Reset() {
   std::lock_guard<std::mutex> lock(mutex_);
   entries_.clear();
+  generation_.fetch_add(1, std::memory_order_release);
 }
 
 namespace {

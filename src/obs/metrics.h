@@ -129,6 +129,12 @@ class MetricsRegistry {
   // worker threads still hold handles.
   void Reset();
 
+  // Bumped by every Reset(). A hot path that caches handles across calls
+  // keys the cache on this and re-resolves when it changes.
+  std::uint64_t Generation() const {
+    return generation_.load(std::memory_order_acquire);
+  }
+
   std::size_t MetricCount() const;
 
  private:
@@ -147,6 +153,7 @@ class MetricsRegistry {
 
   mutable std::mutex mutex_;
   std::map<std::string, Entry> entries_;  // key = name + serialized labels
+  std::atomic<std::uint64_t> generation_{0};
 };
 
 // The process-wide registry the instrumented hot paths record into.

@@ -1,18 +1,25 @@
-// Cache-blocked, register-tiled SGEMM — the compute core every dense hot
-// path routes through (Dense forward/backward, Conv2d im2col products, and
-// via tensor_ops the legacy MatMul* entry points).
+// Cache-blocked, register-tiled SGEMM — the compute core every matrix
+// product routes through (Dense forward/backward and the Conv2d im2col
+// products).
 //
-// Design (BLIS-style): the driver tiles C into MC×NC macro-blocks, packs
-// A/B panels into contiguous micro-panels (zero-padded to the kMr×kNr
-// micro-tile), and calls the kernels::MicroKernel for every tile. The
-// packed layout makes one micro-kernel serve all four transpose variants.
+// Design (BLIS-style): the driver tiles C into MC×NC macro-blocks and
+// calls kernels::MicroKernel for every kMr×kNr tile. A is packed into
+// k-major kMr-row micro-panels. B's kNr-column slivers are read in place
+// when B is untransposed (row stride ldb); a transposed B is packed by
+// register transposes, and a ragged last sliver is packed zero-padded. A
+// full tile is stored from registers straight into C; only ragged tiles go
+// through a scratch tile.
 //
 // Determinism contract: for fixed inputs the output is bit-identical across
 // runs and across thread counts. Each C element is owned by exactly one
 // row-tile task, the K dimension is reduced strictly in ascending block
 // order (the pc loop is sequential, outside the parallel fan-out), and the
-// micro-kernel accumulates ascending in k. Parallelism only distributes
-// disjoint row tiles. The scalar and AVX2 micro-kernels may differ in final
+// micro-kernel accumulates ascending in k. So every C element is, per
+// KC-deep block, one float chain from +0 in ascending k, landed as
+// C = block (+ bias) for the first block of an overwrite and C += block
+// otherwise — whatever the loop order and whether B is packed or read in
+// place (GemmTest.MatchesBlockedContractBitForBit emulates exactly this).
+// Parallelism only distributes disjoint row tiles. The scalar and AVX2 micro-kernels may differ in final
 // ulps (FMA); the ISA is fixed per process (kernels::ActiveIsa), so this
 // never varies within or across runs on one machine.
 #pragma once

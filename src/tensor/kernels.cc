@@ -334,28 +334,74 @@ void SumRowsAccum(const float* m, std::size_t rows, std::size_t cols,
 namespace {
 
 void MicroKernelScalar(std::size_t kc, const float* ap, const float* bp,
-                       float* acc) {
-  float c[kMr * kNr] = {};
+                       std::size_t ldb, float* c, std::size_t ldc,
+                       TileStore store, const float* bias) {
+  float acc[kMr * kNr] = {};
   for (std::size_t p = 0; p < kc; ++p) {
-    const float* brow = bp + p * kNr;
+    const float* brow = bp + p * ldb;
     const float* acol = ap + p * kMr;
     for (std::size_t r = 0; r < kMr; ++r) {
       const float a = acol[r];
-      float* crow = c + r * kNr;
+      float* crow = acc + r * kNr;
       for (std::size_t j = 0; j < kNr; ++j) {
         crow[j] += a * brow[j];
       }
     }
   }
-  std::memcpy(acc, c, sizeof(c));
+  for (std::size_t r = 0; r < kMr; ++r) {
+    float* crow = c + r * ldc;
+    const float* arow = acc + r * kNr;
+    switch (store) {
+      case TileStore::kAssign:
+        std::memcpy(crow, arow, kNr * sizeof(float));
+        break;
+      case TileStore::kAddBias:
+        for (std::size_t j = 0; j < kNr; ++j) {
+          crow[j] = arow[j] + bias[j];
+        }
+        break;
+      case TileStore::kAccumulate:
+        for (std::size_t j = 0; j < kNr; ++j) {
+          crow[j] += arow[j];
+        }
+        break;
+    }
+  }
+}
+
+void PackTransposedSliverScalar(std::size_t kc, const float* b,
+                                std::size_t ldb, float* out) {
+  for (std::size_t p = 0; p < kc; ++p) {
+    for (std::size_t j = 0; j < kNr; ++j) {
+      out[p * kNr + j] = b[j * ldb + p];
+    }
+  }
 }
 
 #if AF_KERNELS_X86
 
-__attribute__((target("avx2,fma"))) void MicroKernelAvx2(std::size_t kc,
-                                                         const float* ap,
-                                                         const float* bp,
-                                                         float* acc) {
+// Stores one 16-wide row of the tile: two vectors `lo`, `hi`.
+__attribute__((target("avx2,fma"))) inline void StoreRow(
+    float* c, __m256 lo, __m256 hi, TileStore store, const float* bias) {
+  switch (store) {
+    case TileStore::kAssign:
+      break;
+    case TileStore::kAddBias:
+      lo = _mm256_add_ps(lo, _mm256_loadu_ps(bias));
+      hi = _mm256_add_ps(hi, _mm256_loadu_ps(bias + 8));
+      break;
+    case TileStore::kAccumulate:
+      lo = _mm256_add_ps(_mm256_loadu_ps(c), lo);
+      hi = _mm256_add_ps(_mm256_loadu_ps(c + 8), hi);
+      break;
+  }
+  _mm256_storeu_ps(c, lo);
+  _mm256_storeu_ps(c + 8, hi);
+}
+
+__attribute__((target("avx2,fma"))) void MicroKernelAvx2(
+    std::size_t kc, const float* ap, const float* bp, std::size_t ldb,
+    float* c, std::size_t ldc, TileStore store, const float* bias) {
   __m256 c00 = _mm256_setzero_ps(), c01 = _mm256_setzero_ps();
   __m256 c10 = _mm256_setzero_ps(), c11 = _mm256_setzero_ps();
   __m256 c20 = _mm256_setzero_ps(), c21 = _mm256_setzero_ps();
@@ -363,8 +409,9 @@ __attribute__((target("avx2,fma"))) void MicroKernelAvx2(std::size_t kc,
   __m256 c40 = _mm256_setzero_ps(), c41 = _mm256_setzero_ps();
   __m256 c50 = _mm256_setzero_ps(), c51 = _mm256_setzero_ps();
   for (std::size_t p = 0; p < kc; ++p) {
-    const __m256 b0 = _mm256_loadu_ps(bp + p * kNr);
-    const __m256 b1 = _mm256_loadu_ps(bp + p * kNr + 8);
+    const __m256 b0 = _mm256_loadu_ps(bp);
+    const __m256 b1 = _mm256_loadu_ps(bp + 8);
+    bp += ldb;
     const float* acol = ap + p * kMr;
     __m256 a;
     a = _mm256_broadcast_ss(acol + 0);
@@ -386,18 +433,61 @@ __attribute__((target("avx2,fma"))) void MicroKernelAvx2(std::size_t kc,
     c50 = _mm256_fmadd_ps(a, b0, c50);
     c51 = _mm256_fmadd_ps(a, b1, c51);
   }
-  _mm256_storeu_ps(acc + 0 * kNr, c00);
-  _mm256_storeu_ps(acc + 0 * kNr + 8, c01);
-  _mm256_storeu_ps(acc + 1 * kNr, c10);
-  _mm256_storeu_ps(acc + 1 * kNr + 8, c11);
-  _mm256_storeu_ps(acc + 2 * kNr, c20);
-  _mm256_storeu_ps(acc + 2 * kNr + 8, c21);
-  _mm256_storeu_ps(acc + 3 * kNr, c30);
-  _mm256_storeu_ps(acc + 3 * kNr + 8, c31);
-  _mm256_storeu_ps(acc + 4 * kNr, c40);
-  _mm256_storeu_ps(acc + 4 * kNr + 8, c41);
-  _mm256_storeu_ps(acc + 5 * kNr, c50);
-  _mm256_storeu_ps(acc + 5 * kNr + 8, c51);
+  StoreRow(c + 0 * ldc, c00, c01, store, bias);
+  StoreRow(c + 1 * ldc, c10, c11, store, bias);
+  StoreRow(c + 2 * ldc, c20, c21, store, bias);
+  StoreRow(c + 3 * ldc, c30, c31, store, bias);
+  StoreRow(c + 4 * ldc, c40, c41, store, bias);
+  StoreRow(c + 5 * ldc, c50, c51, store, bias);
+}
+
+// Eight rows of b (row stride ldb), eight floats each, transposed into
+// eight 8-float columns stored kNr apart.
+__attribute__((target("avx2"))) inline void Transpose8x8(const float* b,
+                                                         std::size_t ldb,
+                                                         float* out) {
+  const __m256 r0 = _mm256_loadu_ps(b + 0 * ldb);
+  const __m256 r1 = _mm256_loadu_ps(b + 1 * ldb);
+  const __m256 r2 = _mm256_loadu_ps(b + 2 * ldb);
+  const __m256 r3 = _mm256_loadu_ps(b + 3 * ldb);
+  const __m256 r4 = _mm256_loadu_ps(b + 4 * ldb);
+  const __m256 r5 = _mm256_loadu_ps(b + 5 * ldb);
+  const __m256 r6 = _mm256_loadu_ps(b + 6 * ldb);
+  const __m256 r7 = _mm256_loadu_ps(b + 7 * ldb);
+  const __m256 t0 = _mm256_unpacklo_ps(r0, r1);
+  const __m256 t1 = _mm256_unpackhi_ps(r0, r1);
+  const __m256 t2 = _mm256_unpacklo_ps(r2, r3);
+  const __m256 t3 = _mm256_unpackhi_ps(r2, r3);
+  const __m256 t4 = _mm256_unpacklo_ps(r4, r5);
+  const __m256 t5 = _mm256_unpackhi_ps(r4, r5);
+  const __m256 t6 = _mm256_unpacklo_ps(r6, r7);
+  const __m256 t7 = _mm256_unpackhi_ps(r6, r7);
+  const __m256 s0 = _mm256_shuffle_ps(t0, t2, 0x44);
+  const __m256 s1 = _mm256_shuffle_ps(t0, t2, 0xEE);
+  const __m256 s2 = _mm256_shuffle_ps(t1, t3, 0x44);
+  const __m256 s3 = _mm256_shuffle_ps(t1, t3, 0xEE);
+  const __m256 s4 = _mm256_shuffle_ps(t4, t6, 0x44);
+  const __m256 s5 = _mm256_shuffle_ps(t4, t6, 0xEE);
+  const __m256 s6 = _mm256_shuffle_ps(t5, t7, 0x44);
+  const __m256 s7 = _mm256_shuffle_ps(t5, t7, 0xEE);
+  _mm256_storeu_ps(out + 0 * kNr, _mm256_permute2f128_ps(s0, s4, 0x20));
+  _mm256_storeu_ps(out + 1 * kNr, _mm256_permute2f128_ps(s1, s5, 0x20));
+  _mm256_storeu_ps(out + 2 * kNr, _mm256_permute2f128_ps(s2, s6, 0x20));
+  _mm256_storeu_ps(out + 3 * kNr, _mm256_permute2f128_ps(s3, s7, 0x20));
+  _mm256_storeu_ps(out + 4 * kNr, _mm256_permute2f128_ps(s0, s4, 0x31));
+  _mm256_storeu_ps(out + 5 * kNr, _mm256_permute2f128_ps(s1, s5, 0x31));
+  _mm256_storeu_ps(out + 6 * kNr, _mm256_permute2f128_ps(s2, s6, 0x31));
+  _mm256_storeu_ps(out + 7 * kNr, _mm256_permute2f128_ps(s3, s7, 0x31));
+}
+
+__attribute__((target("avx2"))) void PackTransposedSliverAvx2(
+    std::size_t kc, const float* b, std::size_t ldb, float* out) {
+  std::size_t p = 0;
+  for (; p + 8 <= kc; p += 8) {
+    Transpose8x8(b + p, ldb, out + p * kNr);
+    Transpose8x8(b + 8 * ldb + p, ldb, out + p * kNr + 8);
+  }
+  PackTransposedSliverScalar(kc - p, b + p, ldb, out + p * kNr);
 }
 
 #endif  // AF_KERNELS_X86
@@ -405,14 +495,26 @@ __attribute__((target("avx2,fma"))) void MicroKernelAvx2(std::size_t kc,
 }  // namespace
 
 void MicroKernel(std::size_t kc, const float* ap, const float* bp,
-                 float* acc) {
+                 std::size_t ldb, float* c, std::size_t ldc, TileStore store,
+                 const float* bias) {
 #if AF_KERNELS_X86
   if (ActiveIsa() == Isa::kAvx2) {
-    MicroKernelAvx2(kc, ap, bp, acc);
+    MicroKernelAvx2(kc, ap, bp, ldb, c, ldc, store, bias);
     return;
   }
 #endif
-  MicroKernelScalar(kc, ap, bp, acc);
+  MicroKernelScalar(kc, ap, bp, ldb, c, ldc, store, bias);
+}
+
+void PackTransposedSliver(std::size_t kc, const float* b, std::size_t ldb,
+                          float* out) {
+#if AF_KERNELS_X86
+  if (ActiveIsa() == Isa::kAvx2) {
+    PackTransposedSliverAvx2(kc, b, ldb, out);
+    return;
+  }
+#endif
+  PackTransposedSliverScalar(kc, b, ldb, out);
 }
 
 }  // namespace tensor::kernels

@@ -8,13 +8,14 @@
 // process always picks one path at startup, so results are stable within a
 // run and across runs on the same machine.
 //
-// This header is deliberately tensor-free (only <cstddef>): it sits below
-// both tensor_ops and stats::vec_ops in the dependency graph, so the defense
-// distance math (Krum, k-means, Zeno++, FLtrust, AsyncFilter scoring) and
-// the NN layers share one compute core.
+// This header is deliberately tensor-free (only standard headers): it sits
+// below both tensor_ops and stats::vec_ops in the dependency graph, so the
+// defense distance math (Krum, k-means, Zeno++, FLtrust, AsyncFilter
+// scoring) and the NN layers share one compute core.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 
 namespace tensor::kernels {
 
@@ -77,10 +78,29 @@ void SumRowsAccum(const float* m, std::size_t rows, std::size_t cols,
 inline constexpr std::size_t kMr = 6;
 inline constexpr std::size_t kNr = 16;
 
-// acc (kMr × kNr, row-major, overwritten) = sum over p in [0, kc) of
-// ap[p*kMr + r] * bp[p*kNr + j]. `ap` is a packed A micro-panel (column of
-// kMr rows, k-major), `bp` a packed B micro-panel (row of kNr columns,
-// k-major). Accumulation order over p is ascending on every path.
-void MicroKernel(std::size_t kc, const float* ap, const float* bp, float* acc);
+// How MicroKernel lands its kMr × kNr tile of sums in C.
+enum class TileStore : std::uint8_t {
+  kAssign,      // C = acc
+  kAddBias,     // C = acc + bias[j]
+  kAccumulate,  // C += acc
+};
+
+// acc[r][j] = sum over p in [0, kc) of ap[p*kMr + r] * bp[p*ldb + j],
+// accumulated ascending in p from +0, then stored into the kMr × kNr tile
+// at `c` (row stride ldc) as `store` says. `ap` is a packed A micro-panel
+// (kMr rows, k-major); `bp` is kc rows of kNr columns with row stride ldb,
+// either a packed sliver (ldb == kNr) or B itself read in place. The AVX2
+// path updates C with vector adds, which round exactly as the scalar path's
+// per-element `acc + bias` and `C += acc` do. A ragged tile passes a kMr ×
+// kNr buffer as C (ldc == kNr, kAssign) and copies out what it needs.
+void MicroKernel(std::size_t kc, const float* ap, const float* bp,
+                 std::size_t ldb, float* c, std::size_t ldc, TileStore store,
+                 const float* bias);
+
+// Packs a full kNr-column sliver of a transposed B operand: out[p*kNr + j]
+// = b[j*ldb + p] for p in [0, kc), j in [0, kNr). A pure copy (8×8 register
+// transposes on AVX2), so the ISA never changes a result bit.
+void PackTransposedSliver(std::size_t kc, const float* b, std::size_t ldb,
+                          float* out);
 
 }  // namespace tensor::kernels

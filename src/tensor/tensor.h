@@ -1,8 +1,8 @@
 // Dense row-major float tensor.
 //
 // Deliberately minimal: the NN stack needs contiguous storage, shape
-// bookkeeping and a handful of BLAS-1/2/3-style kernels (tensor_ops.h) —
-// no views, no broadcasting, no autograd graph. Backward passes are written
+// bookkeeping, the blocked GEMM (gemm.h) and a handful of element-wise
+// helpers (tensor_ops.h) — no views, no broadcasting, no autograd graph. Backward passes are written
 // by hand per layer, which keeps the whole training stack auditable.
 #pragma once
 

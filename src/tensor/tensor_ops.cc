@@ -1,28 +1,9 @@
 #include "tensor/tensor_ops.h"
 
-#include "tensor/gemm.h"
 #include "tensor/kernels.h"
 #include "util/check.h"
 
 namespace tensor {
-
-// The MatMul* entry points are thin shims over the blocked SGEMM core
-// (gemm.h). The seed implementations special-cased zero elements of A
-// (`if (av == 0.0f) continue;`) — that branch de-vectorized the hot loop
-// and silently suppressed NaN/Inf propagation from the other operand, so
-// the shims deliberately do full IEEE dense math.
-
-void MatMul(const Tensor& a, const Tensor& b, Tensor& c) {
-  Gemm(Op::kNone, Op::kNone, a, b, c);
-}
-
-void MatMulTransposeB(const Tensor& a, const Tensor& b, Tensor& c) {
-  Gemm(Op::kNone, Op::kTranspose, a, b, c);
-}
-
-void MatMulTransposeA(const Tensor& a, const Tensor& b, Tensor& c) {
-  Gemm(Op::kTranspose, Op::kNone, a, b, c);
-}
 
 void AddInto(const Tensor& a, const Tensor& b, Tensor& out) {
   AF_CHECK_EQ(a.size(), b.size());

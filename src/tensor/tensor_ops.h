@@ -1,19 +1,10 @@
-// Dense kernels used by the NN layers.
+// Element-wise and row-wise tensor helpers. Matrix products go through
+// tensor::Gemm (gemm.h).
 #pragma once
 
 #include "tensor/tensor.h"
 
 namespace tensor {
-
-// C = A (M×K) * B (K×N). C must be preallocated M×N; it is overwritten.
-void MatMul(const Tensor& a, const Tensor& b, Tensor& c);
-
-// C = A (M×K) * B^T where B is (N×K). C must be M×N.
-void MatMulTransposeB(const Tensor& a, const Tensor& b, Tensor& c);
-
-// C = A^T (K×M -> M rows of A are K) ... specifically: A is (K×M), B is
-// (K×N), C = A^T * B is (M×N).
-void MatMulTransposeA(const Tensor& a, const Tensor& b, Tensor& c);
 
 // out = a + b (same shape).
 void AddInto(const Tensor& a, const Tensor& b, Tensor& out);

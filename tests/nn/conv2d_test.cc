@@ -182,6 +182,104 @@ TEST(Conv2dTest, AccumulateGradsMatchesBackwardParameterGradients) {
   }
 }
 
+// Direct convolution in double, straight from the definition: no im2col,
+// no col2im, no GEMM. Returns the output and, for `grad_out`, dW, db, dX.
+struct DirectConv {
+  std::vector<double> out, dw, db, dx;
+};
+
+DirectConv DirectConvolution(const tensor::Tensor& x, const tensor::Tensor& w,
+                             const tensor::Tensor& b,
+                             const tensor::Tensor& grad_out,
+                             std::size_t pad) {
+  const std::size_t batch = x.dim(0), cin = x.dim(1), h = x.dim(2),
+                    wd = x.dim(3);
+  const std::size_t cout = w.dim(0), k = w.dim(2);
+  const std::size_t ho = h + 2 * pad - k + 1, wo = wd + 2 * pad - k + 1;
+  DirectConv r{std::vector<double>(batch * cout * ho * wo),
+               std::vector<double>(w.size()), std::vector<double>(cout),
+               std::vector<double>(x.size())};
+  auto xi = [&](std::size_t n, std::size_t c, std::size_t i, std::size_t j) {
+    return ((n * cin + c) * h + i) * wd + j;
+  };
+  auto wi = [&](std::size_t o, std::size_t c, std::size_t ki, std::size_t kj) {
+    return ((o * cin + c) * k + ki) * k + kj;
+  };
+  for (std::size_t n = 0; n < batch; ++n) {
+    for (std::size_t o = 0; o < cout; ++o) {
+      for (std::size_t i = 0; i < ho; ++i) {
+        for (std::size_t j = 0; j < wo; ++j) {
+          const std::size_t at = ((n * cout + o) * ho + i) * wo + j;
+          const double g = grad_out[at];
+          double acc = b[o];
+          r.db[o] += g;
+          for (std::size_t c = 0; c < cin; ++c) {
+            for (std::size_t ki = 0; ki < k; ++ki) {
+              for (std::size_t kj = 0; kj < k; ++kj) {
+                const long ii = long(i + ki) - long(pad);
+                const long jj = long(j + kj) - long(pad);
+                if (ii < 0 || jj < 0 || ii >= long(h) || jj >= long(wd)) {
+                  continue;
+                }
+                const std::size_t xat = xi(n, c, ii, jj);
+                const std::size_t wat = wi(o, c, ki, kj);
+                acc += static_cast<double>(w[wat]) * x[xat];
+                r.dw[wat] += g * x[xat];
+                r.dx[xat] += g * w[wat];
+              }
+            }
+          }
+          r.out[at] = acc;
+        }
+      }
+    }
+  }
+  return r;
+}
+
+void ExpectClose(const std::vector<float>& actual,
+                 const std::vector<double>& expected, const char* what) {
+  ASSERT_EQ(actual.size(), expected.size()) << what;
+  for (std::size_t i = 0; i < actual.size(); ++i) {
+    ASSERT_NEAR(actual[i], expected[i], 1e-4 * (1.0 + std::fabs(expected[i])))
+        << what << " index " << i;
+  }
+}
+
+// Checks Forward and Backward against the definition of a convolution, so
+// an im2col or col2im indexing bug cannot hide behind a shared patch path.
+// Covers padding >= kernel and non-square inputs.
+TEST(Conv2dTest, MatchesDirectConvolution) {
+  auto rng = Rng(31);
+  for (std::size_t kernel : {1u, 2u, 3u, 5u}) {
+    for (std::size_t pad : {0u, 1u, 2u, 3u}) {
+      for (std::size_t batch : {1u, 3u}) {
+        for (std::size_t channels : {1u, 3u}) {
+          SCOPED_TRACE(testing::Message()
+                       << "kernel " << kernel << " pad " << pad << " batch "
+                       << batch << " channels " << channels);
+          Conv2d conv(channels, 2, kernel, pad, rng);
+          conv.Params()[1]->FillNormal(0.0f, 1.0f, rng);
+          tensor::Tensor x({batch, channels, 6, 7});
+          x.FillNormal(0.0f, 1.0f, rng);
+          tensor::Tensor out = conv.Forward(x);
+          tensor::Tensor grad_out(out.shape());
+          grad_out.FillNormal(0.0f, 1.0f, rng);
+          tensor::Tensor dx = conv.Backward(grad_out);
+
+          const DirectConv ref =
+              DirectConvolution(x, *conv.Params()[0], *conv.Params()[1],
+                                grad_out, pad);
+          ExpectClose(out.vec(), ref.out, "output");
+          ExpectClose(conv.Grads()[0]->vec(), ref.dw, "dW");
+          ExpectClose(conv.Grads()[1]->vec(), ref.db, "db");
+          ExpectClose(dx.vec(), ref.dx, "dX");
+        }
+      }
+    }
+  }
+}
+
 TEST(Conv2dTest, FusedPoolNeedsEvenOutput) {
   auto rng = Rng();
   Conv2d conv(1, 1, 3, 1, ConvEpilogue::kReluMaxPool2, rng);

@@ -2,15 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <random>
+#include <vector>
 
 #include "obs/metrics.h"
 #include "tensor/kernels.h"
-#include "tensor/tensor_ops.h"
 #include "util/check.h"
+#include "util/rng.h"
 #include "util/thread_pool.h"
 
 namespace tensor {
@@ -159,6 +161,113 @@ TEST(GemmTest, BitIdenticalAcrossRunsAndThreadCounts) {
   }
 }
 
+// A rows × cols matrix stored with a row stride wider than its width. The
+// padding holds NaN, so an operand read past the logical width poisons the
+// result, and a C write past it shows up as changed padding bytes.
+struct Strided {
+  std::size_t rows, cols, ld;
+  std::vector<float> data;
+
+  Strided(std::size_t r, std::size_t c, std::size_t pad, std::mt19937_64& rng)
+      : rows(r), cols(c), ld(c + pad),
+        data(r * (c + pad), std::numeric_limits<float>::quiet_NaN()) {
+    std::normal_distribution<float> dist(0.0f, 1.0f);
+    for (std::size_t i = 0; i < rows; ++i) {
+      for (std::size_t j = 0; j < cols; ++j) {
+        data[i * ld + j] = dist(rng);
+      }
+    }
+  }
+  float At(Op op, std::size_t i, std::size_t j) const {
+    return op == Op::kNone ? data[i * ld + j] : data[j * ld + i];
+  }
+};
+
+enum class Store { kAssign, kBias, kAccumulate };
+
+// The blocked driver's arithmetic, element by element: per 256-deep K block
+// a float chain from +0 in ascending k (a fused multiply-add per step on
+// AVX2, a multiply then an add on the scalar path), landed as C = block
+// (+ bias) for the first block of an overwrite and C += block otherwise.
+void ContractGemm(Op op_a, Op op_b, std::size_t m, std::size_t n,
+                  std::size_t k, const Strided& a, const Strided& b,
+                  const float* bias, bool accumulate, bool fused,
+                  Strided& c) {
+  constexpr std::size_t kBlock = 256;
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      float cij = c.data[i * c.ld + j];
+      for (std::size_t pb = 0; pb < k; pb += kBlock) {
+        float acc = 0.0f;
+        for (std::size_t p = pb; p < std::min(k, pb + kBlock); ++p) {
+          const float x = a.At(op_a, i, p);
+          const float y = b.At(op_b, p, j);
+          acc = fused ? std::fma(x, y, acc) : acc + x * y;
+        }
+        if (pb == 0 && !accumulate) {
+          cij = bias != nullptr ? acc + bias[j] : acc;
+        } else {
+          cij += acc;
+        }
+      }
+      c.data[i * c.ld + j] = cij;
+    }
+  }
+}
+
+// Every output byte equals the contract emulation under both ISAs, for all
+// four transpose pairs and all three C updates, with row strides wider than
+// the logical widths (NaN in the padding) and shapes crossing kMr = 6,
+// kNr = 16, MC = 96, KC = 256 and NC = 2048, serial and pooled.
+TEST(GemmTest, MatchesBlockedContractBitForBit) {
+  const GemmShape shapes[] = {{1, 1, 1},     {6, 16, 256},   {7, 17, 257},
+                              {13, 18, 12},  {97, 33, 513},  {100, 2049, 3},
+                              {54, 4100, 6}, {12, 2063, 257}};
+  util::ThreadPool pool(3);
+  std::mt19937_64 rng(515);
+  for (kernels::Isa isa : {kernels::Isa::kScalar, kernels::Isa::kAvx2}) {
+    kernels::ForceIsa(isa);
+    const bool fused = kernels::ActiveIsa() == kernels::Isa::kAvx2;
+    for (const GemmShape& s : shapes) {
+      for (Op op_a : {Op::kNone, Op::kTranspose}) {
+        for (Op op_b : {Op::kNone, Op::kTranspose}) {
+          const Strided a = op_a == Op::kNone ? Strided(s.m, s.k, 3, rng)
+                                              : Strided(s.k, s.m, 3, rng);
+          const Strided b = op_b == Op::kNone ? Strided(s.k, s.n, 5, rng)
+                                              : Strided(s.n, s.k, 5, rng);
+          const Strided bias(1, s.n, 0, rng);
+          for (Store store : {Store::kAssign, Store::kBias,
+                              Store::kAccumulate}) {
+            const bool accumulate = store == Store::kAccumulate;
+            const float* pbias =
+                store == Store::kBias ? bias.data.data() : nullptr;
+            Strided expected(s.m, s.n, 7, rng);
+            Strided serial = expected;
+            Strided pooled = expected;
+            ContractGemm(op_a, op_b, s.m, s.n, s.k, a, b, pbias,
+                         accumulate, fused, expected);
+            for (Strided* c : {&serial, &pooled}) {
+              Sgemm(op_a, op_b, s.m, s.n, s.k, a.data.data(), a.ld,
+                    b.data.data(), b.ld, c->data.data(), c->ld,
+                    pbias, accumulate ? 1.0f : 0.0f,
+                    c == &pooled ? &pool : nullptr);
+              ASSERT_EQ(std::memcmp(c->data.data(), expected.data.data(),
+                                    expected.data.size() * sizeof(float)),
+                        0)
+                  << (fused ? "avx2" : "scalar") << " shape " << s.m << "x"
+                  << s.n << "x" << s.k << " ops " << static_cast<int>(op_a)
+                  << "," << static_cast<int>(op_b) << " store "
+                  << static_cast<int>(store)
+                  << (c == &pooled ? " pooled" : " serial");
+            }
+          }
+        }
+      }
+    }
+  }
+  kernels::ResetForcedIsa();
+}
+
 TEST(GemmTest, ScalarAndAvx2PathsAgree) {
   if (!kernels::Avx2Available()) {
     GTEST_SKIP() << "no AVX2 on this machine";
@@ -185,13 +294,13 @@ TEST(GemmTest, ZeroTimesNaNPropagates) {
   Tensor b({2, 2});
   b.At(0, 0) = std::numeric_limits<float>::quiet_NaN();
   Tensor c({2, 2});
-  MatMul(a, b, c);
+  Gemm(Op::kNone, Op::kNone, a, b, c);
   EXPECT_TRUE(std::isnan(c.At(0, 0)));
   EXPECT_TRUE(std::isnan(c.At(1, 0)));
 
   Tensor at({2, 2});
   Tensor ct({2, 2});
-  MatMulTransposeA(at, b, ct);
+  Gemm(Op::kTranspose, Op::kNone, at, b, ct);
   EXPECT_TRUE(std::isnan(ct.At(0, 0)));
 }
 
@@ -208,6 +317,98 @@ TEST(GemmTest, RecordsObsCounters) {
   EXPECT_EQ(reg.GetCounter("gemm.flops").Value(),
             flops_before + 2ull * 8 * 5 * 12);
   EXPECT_GT(reg.GetCounter("gemm.bytes_packed").Value(), 0u);
+}
+
+TEST(GemmTest, CountersSurviveRegistryReset) {
+  auto& reg = obs::DefaultRegistry();
+  std::mt19937_64 rng(4);
+  Tensor a = RandomTensor({7, 9}, rng);
+  Tensor b = RandomTensor({9, 20}, rng);
+  Tensor c({7, 20});
+  Gemm(Op::kNone, Op::kNone, a, b, c);  // resolves this thread's counters
+  reg.Reset();                          // frees them
+  Gemm(Op::kNone, Op::kNone, a, b, c);
+  EXPECT_EQ(reg.GetCounter("gemm.calls").Value(), 1u);
+  EXPECT_EQ(reg.GetCounter("gemm.flops").Value(), 2ull * 7 * 20 * 9);
+  // A is one ragged 6-row panel pair, B one ragged 16-column sliver: the
+  // in-place sliver of the untransposed B is not packed.
+  EXPECT_EQ(reg.GetCounter("gemm.bytes_packed").Value(),
+            (12u * 9 + 9 * 16) * sizeof(float));
+}
+
+TEST(MatMulTest, KnownProduct) {
+  Tensor a({2, 3}, {1, 2, 3, 4, 5, 6});
+  Tensor b({3, 2}, {7, 8, 9, 10, 11, 12});
+  Tensor c({2, 2});
+  Gemm(Op::kNone, Op::kNone, a, b, c);
+  EXPECT_FLOAT_EQ(c.At(0, 0), 58.0f);
+  EXPECT_FLOAT_EQ(c.At(0, 1), 64.0f);
+  EXPECT_FLOAT_EQ(c.At(1, 0), 139.0f);
+  EXPECT_FLOAT_EQ(c.At(1, 1), 154.0f);
+}
+
+TEST(MatMulTest, IdentityLeavesMatrixUnchanged) {
+  Tensor eye({3, 3});
+  for (std::size_t i = 0; i < 3; ++i) {
+    eye.At(i, i) = 1.0f;
+  }
+  Tensor m({3, 3}, {1, 2, 3, 4, 5, 6, 7, 8, 9});
+  Tensor out({3, 3});
+  Gemm(Op::kNone, Op::kNone, eye, m, out);
+  for (std::size_t i = 0; i < 9; ++i) {
+    EXPECT_FLOAT_EQ(out[i], m[i]);
+  }
+}
+
+TEST(MatMulTest, DimensionMismatchThrows) {
+  Tensor a({2, 3});
+  Tensor b({2, 2});
+  Tensor c({2, 2});
+  EXPECT_THROW(Gemm(Op::kNone, Op::kNone, a, b, c), util::CheckError);
+}
+
+TEST(MatMulTransposeBTest, MatchesExplicitTranspose) {
+  util::RngFactory rngs(11);
+  auto rng = rngs.Stream("ops");
+  Tensor a({4, 5});
+  Tensor b({3, 5});  // B^T is 5×3
+  a.FillNormal(0.0f, 1.0f, rng);
+  b.FillNormal(0.0f, 1.0f, rng);
+  Tensor bt({5, 3});
+  for (std::size_t i = 0; i < 3; ++i) {
+    for (std::size_t j = 0; j < 5; ++j) {
+      bt.At(j, i) = b.At(i, j);
+    }
+  }
+  Tensor expected({4, 3});
+  Gemm(Op::kNone, Op::kNone, a, bt, expected);
+  Tensor actual({4, 3});
+  Gemm(Op::kNone, Op::kTranspose, a, b, actual);
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_NEAR(actual[i], expected[i], 1e-4);
+  }
+}
+
+TEST(MatMulTransposeATest, MatchesExplicitTranspose) {
+  util::RngFactory rngs(12);
+  auto rng = rngs.Stream("ops");
+  Tensor a({6, 4});  // A^T is 4×6
+  Tensor b({6, 3});
+  a.FillNormal(0.0f, 1.0f, rng);
+  b.FillNormal(0.0f, 1.0f, rng);
+  Tensor at({4, 6});
+  for (std::size_t i = 0; i < 6; ++i) {
+    for (std::size_t j = 0; j < 4; ++j) {
+      at.At(j, i) = a.At(i, j);
+    }
+  }
+  Tensor expected({4, 3});
+  Gemm(Op::kNone, Op::kNone, at, b, expected);
+  Tensor actual({4, 3});
+  Gemm(Op::kTranspose, Op::kNone, a, b, actual);
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_NEAR(actual[i], expected[i], 1e-4);
+  }
 }
 
 TEST(GemmTest, MismatchedShapesThrow) {

@@ -2,88 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include <random>
-
 #include "util/check.h"
-#include "util/rng.h"
 
 namespace tensor {
 namespace {
-
-TEST(MatMulTest, KnownProduct) {
-  Tensor a({2, 3}, {1, 2, 3, 4, 5, 6});
-  Tensor b({3, 2}, {7, 8, 9, 10, 11, 12});
-  Tensor c({2, 2});
-  MatMul(a, b, c);
-  EXPECT_FLOAT_EQ(c.At(0, 0), 58.0f);
-  EXPECT_FLOAT_EQ(c.At(0, 1), 64.0f);
-  EXPECT_FLOAT_EQ(c.At(1, 0), 139.0f);
-  EXPECT_FLOAT_EQ(c.At(1, 1), 154.0f);
-}
-
-TEST(MatMulTest, IdentityLeavesMatrixUnchanged) {
-  Tensor eye({3, 3});
-  for (std::size_t i = 0; i < 3; ++i) {
-    eye.At(i, i) = 1.0f;
-  }
-  Tensor m({3, 3}, {1, 2, 3, 4, 5, 6, 7, 8, 9});
-  Tensor out({3, 3});
-  MatMul(eye, m, out);
-  for (std::size_t i = 0; i < 9; ++i) {
-    EXPECT_FLOAT_EQ(out[i], m[i]);
-  }
-}
-
-TEST(MatMulTest, DimensionMismatchThrows) {
-  Tensor a({2, 3});
-  Tensor b({2, 2});
-  Tensor c({2, 2});
-  EXPECT_THROW(MatMul(a, b, c), util::CheckError);
-}
-
-TEST(MatMulTransposeBTest, MatchesExplicitTranspose) {
-  util::RngFactory rngs(11);
-  auto rng = rngs.Stream("ops");
-  Tensor a({4, 5});
-  Tensor b({3, 5});  // B^T is 5×3
-  a.FillNormal(0.0f, 1.0f, rng);
-  b.FillNormal(0.0f, 1.0f, rng);
-  Tensor bt({5, 3});
-  for (std::size_t i = 0; i < 3; ++i) {
-    for (std::size_t j = 0; j < 5; ++j) {
-      bt.At(j, i) = b.At(i, j);
-    }
-  }
-  Tensor expected({4, 3});
-  MatMul(a, bt, expected);
-  Tensor actual({4, 3});
-  MatMulTransposeB(a, b, actual);
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_NEAR(actual[i], expected[i], 1e-4);
-  }
-}
-
-TEST(MatMulTransposeATest, MatchesExplicitTranspose) {
-  util::RngFactory rngs(12);
-  auto rng = rngs.Stream("ops");
-  Tensor a({6, 4});  // A^T is 4×6
-  Tensor b({6, 3});
-  a.FillNormal(0.0f, 1.0f, rng);
-  b.FillNormal(0.0f, 1.0f, rng);
-  Tensor at({4, 6});
-  for (std::size_t i = 0; i < 6; ++i) {
-    for (std::size_t j = 0; j < 4; ++j) {
-      at.At(j, i) = a.At(i, j);
-    }
-  }
-  Tensor expected({4, 3});
-  MatMul(at, b, expected);
-  Tensor actual({4, 3});
-  MatMulTransposeA(a, b, actual);
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_NEAR(actual[i], expected[i], 1e-4);
-  }
-}
 
 TEST(AddOpsTest, AddIntoAndInPlace) {
   Tensor a({3}, {1, 2, 3});
