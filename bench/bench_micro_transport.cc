@@ -1,4 +1,4 @@
-// Micro-benchmark for the update hot path across the three transports.
+// Micro-benchmark for the update hot path on both transports.
 //
 // Each lane pushes the same stream of ClientUpdate frames — LeNet-surrogate
 // sized float deltas — from one producer into the server-side materialize
@@ -8,17 +8,14 @@
 //
 //   inproc  UpdateView handoff, no serialization (the upper bound)
 //   tcp     loopback socket through the net::Server reactor
-//   shm     mmap'd rings negotiated over the same handshake
 //
-// Acceptance tracked per PR: shm moves >=2x the updates/sec of loopback
-// tcp, and the uplink costs at most one counted copy per update on every
-// lane. Emits BENCH_transport.json. `--smoke` shrinks the stream for CI;
-// `--out=FILE` redirects the JSON.
+// Acceptance: the uplink costs at most one counted copy per update on
+// every lane. Emits BENCH_transport.json. `--smoke` shrinks the stream for
+// CI; `--out=FILE` redirects the JSON.
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <memory>
 #include <random>
 #include <span>
 #include <string>
@@ -27,7 +24,6 @@
 
 #include "net/frame.h"
 #include "net/server.h"
-#include "net/shm_ring.h"
 #include "net/socket.h"
 #include "nn/models.h"
 #include "obs/json.h"
@@ -139,20 +135,17 @@ LaneResult RunInproc(std::size_t updates, const std::vector<float>& delta) {
                     count.Value() - count0);
 }
 
-// tcp / shm: a real net::Server on loopback; the producer thread performs
-// the hello (answering the ShmOffer when one arrives), then streams
-// pre-encoded ClientUpdate frames as fast as the transport accepts them.
-LaneResult RunServerLane(const char* lane, bool use_shm, std::size_t updates,
-                         const std::vector<float>& delta) {
+// tcp: a real net::Server on loopback; the producer thread performs the
+// handshake, then streams pre-encoded ClientUpdate frames as fast as the
+// socket accepts them.
+LaneResult RunTcp(std::size_t updates, const std::vector<float>& delta) {
   obs::Counter& copied =
       obs::DefaultRegistry().GetCounter("transport.bytes_copied");
   obs::Counter& count = obs::DefaultRegistry().GetCounter("transport.updates");
   const std::uint64_t copied0 = copied.Value();
   const std::uint64_t count0 = count.Value();
 
-  net::ServerOptions options;
-  options.offer_shm = use_shm;
-  net::Server server(options);
+  net::Server server(net::ServerOptions{});
   Consumer consumer;
   server.SetUpdateHandler([&consumer](int, net::ClientUpdateMsg msg) {
     consumer.Consume(std::move(msg));
@@ -162,17 +155,7 @@ LaneResult RunServerLane(const char* lane, bool use_shm, std::size_t updates,
     net::RetryConfig retry;
     retry.max_attempts = 10;
     net::Connection conn = net::ConnectWithRetry(server.port(), retry, 99);
-    conn.SendFrame(net::EncodeAck({1}), 5000);
-
-    std::unique_ptr<net::ShmSegment> shm;
-    if (use_shm) {
-      net::Frame frame;
-      AF_CHECK(conn.RecvFrame(&frame, 5000)) << "no ShmOffer";
-      const net::ShmOfferMsg offer = net::DecodeShmOffer(frame);
-      shm = net::ShmSegment::Open(
-          offer.name, static_cast<std::size_t>(offer.ring_bytes));
-      conn.SendFrame(net::EncodeShmSelect({true}), 5000);
-    }
+    net::ClientHandshake(conn, {{1}}, false, 5000);
 
     // One encode, streamed `updates` times with a bumped job_index — the
     // measurement targets the transport, not the serializer.
@@ -186,37 +169,25 @@ LaneResult RunServerLane(const char* lane, bool use_shm, std::size_t updates,
     // job_index sits right after the frame header + client_id field.
     const std::size_t job_index_at = net::kFrameHeaderBytes + 4;
 
-    std::vector<std::uint8_t> drain;
     for (std::size_t i = 0; i < updates; ++i) {
       const std::uint64_t job = i;
       std::memcpy(bytes.data() + job_index_at, &job, sizeof(job));
-      if (shm != nullptr) {
-        AF_CHECK(shm->uplink().WriteAll(bytes, 30000)) << "ring stalled";
-        shm->downlink().ReadSome(drain);  // discard acks
-        drain.clear();
-      } else {
-        conn.SendBytes(bytes, 30000);
-        net::Frame ack;
-        while (conn.TryRecvFrame(&ack, 0) ==
-               net::Connection::RecvStatus::kFrame) {
-        }
+      conn.SendBytes(bytes, 30000);
+      net::Frame ack;
+      while (conn.TryRecvFrame(&ack, 0) ==
+             net::Connection::RecvStatus::kFrame) {
       }
     }
   });
 
-  bool shm_negotiated = false;
   const auto start = Clock::now();
   while (consumer.received < updates) {
     server.PollOnce(1);
-    shm_negotiated = shm_negotiated || server.ClientUsesShm(1);
   }
   const double seconds =
       std::chrono::duration<double>(Clock::now() - start).count();
   producer.join();
-  if (use_shm) {
-    AF_CHECK(shm_negotiated) << "shm negotiation failed";
-  }
-  return FinishLane(lane, updates, seconds, copied.Value() - copied0,
+  return FinishLane("tcp", updates, seconds, copied.Value() - copied0,
                     count.Value() - count0);
 }
 
@@ -237,19 +208,12 @@ int main(int argc, char** argv) {
 
   std::vector<LaneResult> lanes;
   lanes.push_back(RunInproc(updates, delta));
-  lanes.push_back(RunServerLane("tcp", /*use_shm=*/false, updates, delta));
-  lanes.push_back(RunServerLane("shm", /*use_shm=*/true, updates, delta));
+  lanes.push_back(RunTcp(updates, delta));
 
-  const LaneResult& tcp = lanes[1];
-  const LaneResult& shm = lanes[2];
-  const double speedup = shm.updates_per_sec / tcp.updates_per_sec;
-  const bool speedup_met = speedup >= 2.0;
   bool copies_met = true;
   for (const LaneResult& lane : lanes) {
     copies_met = copies_met && lane.copies_per_update <= 1.0 + 1e-9;
   }
-  std::printf("shm vs tcp: %.2fx (target >=2x): %s\n", speedup,
-              speedup_met ? "met" : "MISSED");
   std::printf("uplink copies <=1 per update on every lane: %s\n",
               copies_met ? "met" : "MISSED");
 
@@ -259,8 +223,6 @@ int main(int argc, char** argv) {
   json.Key("smoke").Bool(smoke);
   json.Key("delta_floats").UInt(LeNetDeltaSize());
   json.Key("updates_per_lane").UInt(updates);
-  json.Key("shm_vs_tcp_speedup").Number(speedup);
-  json.Key("shm_speedup_met").Bool(speedup_met);
   json.Key("uplink_copies_met").Bool(copies_met);
   json.Key("lanes").BeginArray();
   for (const LaneResult& lane : lanes) {

@@ -17,10 +17,8 @@
 //   --quiet           suppress per-round output
 //
 // Distributed mode (see docs/NETWORK.md; parsed via fl::RuntimeOptions):
-//   --transport       inproc | tcp | shm                  [inproc]
-//                     shm = tcp handshake + control, data frames on
-//                     per-client shared-memory rings (same host only)
-//   --port            server port (tcp/shm; 0 = ephemeral loopback)
+//   --transport       inproc | tcp                        [inproc]
+//   --port            server port (tcp; 0 = ephemeral loopback)
 //   --clients-virtual run the fleet as a multiplexed virtual-client pool
 //                     instead of one thread+connection per client — this is
 //                     what makes 100k+ client populations fit on one box

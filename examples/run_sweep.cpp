@@ -31,8 +31,8 @@
 // Runtime flags (shared fl::RuntimeOptions surface, applied to every cell):
 //   --compress CODEC     update-compression codec (identity | fp16 | int8 |
 //                        topk-delta)                           [none]
-//   --transport KIND     inproc | tcp | shm                    [inproc]
-//                        (checkpoint/resume only works inproc; tcp/shm
+//   --transport KIND     inproc | tcp                          [inproc]
+//                        (checkpoint/resume only works inproc; tcp
 //                        cells restart from scratch when killed)
 //   --clients-virtual, --pool-connections, --pool-workers,
 //   --pool-latency-ms, --pool-latency-zipf, --port,

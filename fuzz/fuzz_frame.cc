@@ -1,7 +1,6 @@
 // Fuzz target: the 16-byte frame protocol (net/frame) — incremental
 // DecodeFrame plus every typed payload decoder, including the embedded
-// AFPM/AFCZ parameter blocks, the trailing AFTC trace block, and the AFSH
-// shared-memory header sniffed from raw input.
+// AFPM/AFCZ parameter blocks and the trailing AFTC trace block.
 //
 // Invariants checked beyond memory safety: re-encoding a decoded frame
 // (header + raw payload) reproduces the consumed bytes exactly, and the
@@ -15,18 +14,10 @@
 
 #include "harness_util.h"
 #include "net/frame.h"
-#include "net/shm_ring.h"
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
   const std::span<const std::uint8_t> bytes(data, size);
-
-  // The AFSH shared-memory header validator sees exactly these bytes when a
-  // hostile peer maps a segment; drive it with the raw input.
-  fuzz_harness::GuardParse([&] {
-    net::ValidateShmHeader(bytes);
-    fuzz_harness::Observe(0xF4A0);  // a blob that validates as AFSH
-  });
 
   std::size_t offset = 0;
   fuzz_harness::GuardParse([&] {
@@ -97,33 +88,20 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
             break;
           case net::MessageType::kShutdown:
             break;
-          case net::MessageType::kCodecOffer: {
-            const auto msg = net::DecodeCodecOffer(view);
-            fuzz_harness::Observe(0xF440 + (msg.codecs.size() & 0xFF));
-            break;
-          }
-          case net::MessageType::kCodecSelect:
-            net::DecodeCodecSelect(view);
-            break;
-          case net::MessageType::kTraceOffer:
-            net::DecodeTraceOffer(view);
-            break;
-          case net::MessageType::kTraceSelect:
-            net::DecodeTraceSelect(view);
-            break;
-          case net::MessageType::kShmOffer: {
-            const auto msg = net::DecodeShmOffer(view);
-            fuzz_harness::Observe(0xF450 + (msg.name.size() & 0xFF));
-            break;
-          }
-          case net::MessageType::kShmSelect: {
-            const auto msg = net::DecodeShmSelect(view);
-            fuzz_harness::Observe(msg.enabled ? 0xF460 : 0xF461);
-            break;
-          }
           case net::MessageType::kHello: {
             const auto msg = net::DecodeHello(view);
             fuzz_harness::Observe(0xF470 + (msg.client_ids.size() & 0xFF));
+            break;
+          }
+          case net::MessageType::kOffer: {
+            const auto msg = net::DecodeOffer(view);
+            fuzz_harness::Observe(0xF440 + (msg.codecs.size() & 0x0F));
+            fuzz_harness::Observe(msg.trace_context ? 0xF450 : 0xF451);
+            break;
+          }
+          case net::MessageType::kSelect: {
+            const auto msg = net::DecodeSelect(view);
+            fuzz_harness::Observe(msg.trace_context ? 0xF460 : 0xF461);
             break;
           }
         }

@@ -9,8 +9,8 @@
 //     every adversarial exec (checked via the disconnect callback AND by
 //     delivering a real broadcast to it periodically);
 //   * after the attacker is gone, a fresh well-formed client session
-//     (hello, codec + trace negotiation, one update, ack) still completes
-//     against the same server instance.
+//     (hello, offer, select, one update, ack) still completes against the
+//     same server instance.
 //
 // Invariant violations throw std::runtime_error, which both the bundled
 // engine and real libFuzzer report as a crash with the input saved.
@@ -65,36 +65,38 @@ void Pump(World& world, int ticks) {
   }
 }
 
-// Client side of the full handshake: hello, then answer the CodecOffer /
-// TraceOffer the server queues in response.
-void CompleteHandshake(World& world, net::Connection& conn, int client_id,
+// Client side of the full handshake: a hello naming `client_ids`, then a
+// select answering the server's offer. Pumps the server in between, so the
+// harness stays single-threaded.
+void CompleteHandshake(World& world, net::Connection& conn,
+                       const std::vector<std::int32_t>& client_ids,
                        const std::string& codec) {
-  conn.SendFrame(net::EncodeAck({static_cast<std::uint64_t>(client_id)}),
-                 1000);
-  bool codec_done = false;
-  bool trace_done = false;
-  for (int i = 0; i < 200 && !(codec_done && trace_done); ++i) {
+  conn.SendFrame(net::EncodeHello({client_ids}), 1000);
+  bool offered = false;
+  for (int i = 0; i < 200 && !offered; ++i) {
     world.server.PollOnce(1);
     net::Frame frame;
-    const auto status = conn.TryRecvFrame(&frame, 5);
-    if (status != net::Connection::RecvStatus::kFrame) {
-      continue;
-    }
-    if (frame.type == net::MessageType::kCodecOffer) {
-      conn.SendFrame(net::EncodeCodecSelect({codec}), 1000);
-      codec_done = true;
-    } else if (frame.type == net::MessageType::kTraceOffer) {
-      conn.SendFrame(net::EncodeTraceSelect({false}), 1000);
-      trace_done = true;
+    if (conn.TryRecvFrame(&frame, 5) == net::Connection::RecvStatus::kFrame &&
+        frame.type == net::MessageType::kOffer) {
+      conn.SendFrame(net::EncodeSelect({codec, false}), 1000);
+      offered = true;
     }
   }
-  if (!(codec_done && trace_done)) {
-    throw std::runtime_error("invariant: handshake offers never arrived");
+  if (!offered) {
+    throw std::runtime_error("invariant: handshake offer never arrived");
   }
-  for (int i = 0; i < 200 && !world.server.IsConnected(client_id); ++i) {
+  const auto all_connected = [&] {
+    for (const std::int32_t id : client_ids) {
+      if (!world.server.IsConnected(id)) {
+        return false;
+      }
+    }
+    return true;
+  };
+  for (int i = 0; i < 200 && !all_connected(); ++i) {
     world.server.PollOnce(1);
   }
-  if (!world.server.IsConnected(client_id)) {
+  if (!all_connected()) {
     throw std::runtime_error("invariant: handshake did not complete");
   }
 }
@@ -105,7 +107,7 @@ void RunWellFormedSession(World& world) {
   const int id = static_cast<int>(world.next_session_id++);
   net::Connection conn =
       net::ConnectWithRetry(world.server.port(), FastRetry(), 7);
-  CompleteHandshake(world, conn, id, "fp16");
+  CompleteHandshake(world, conn, {id}, "fp16");
 
   net::ClientUpdateMsg update;
   update.client_id = id;
@@ -133,44 +135,15 @@ void RunWellFormedSession(World& world) {
   }
 }
 
-// Multiplexed flavor: one connection announces two client ids with a
-// kHello, negotiates once, and must get a per-copy ack for each id's
-// update — proving the adversarial stream didn't corrupt the session
-// layer's mux bookkeeping either.
+// Many-client flavor: one connection's hello names two client ids, and
+// each id's update must get its own ack — proving the adversarial stream
+// didn't corrupt the session layer's per-id bookkeeping either.
 void RunMuxSession(World& world) {
   const int id_a = static_cast<int>(world.next_session_id++);
   const int id_b = static_cast<int>(world.next_session_id++);
   net::Connection conn =
       net::ConnectWithRetry(world.server.port(), FastRetry(), 11);
-  conn.SendFrame(net::EncodeHello({{id_a, id_b}}), 1000);
-  bool codec_done = false;
-  bool trace_done = false;
-  for (int i = 0; i < 200 && !(codec_done && trace_done); ++i) {
-    world.server.PollOnce(1);
-    net::Frame frame;
-    if (conn.TryRecvFrame(&frame, 5) != net::Connection::RecvStatus::kFrame) {
-      continue;
-    }
-    if (frame.type == net::MessageType::kCodecOffer) {
-      conn.SendFrame(net::EncodeCodecSelect({"identity"}), 1000);
-      codec_done = true;
-    } else if (frame.type == net::MessageType::kTraceOffer) {
-      conn.SendFrame(net::EncodeTraceSelect({false}), 1000);
-      trace_done = true;
-    }
-  }
-  if (!(codec_done && trace_done)) {
-    throw std::runtime_error("invariant: mux handshake offers never arrived");
-  }
-  for (int i = 0;
-       i < 200 && !(world.server.IsConnected(id_a) &&
-                    world.server.IsConnected(id_b));
-       ++i) {
-    world.server.PollOnce(1);
-  }
-  if (!world.server.IsMultiplexed(id_a) || !world.server.IsMultiplexed(id_b)) {
-    throw std::runtime_error("invariant: mux session not marked multiplexed");
-  }
+  CompleteHandshake(world, conn, {id_a, id_b}, "identity");
   int acked = 0;
   for (int id : {id_a, id_b}) {
     net::ClientUpdateMsg update;
@@ -204,7 +177,7 @@ void InitWorld() {
   world.server.SetDisconnectHandler(
       [](int client_id) { g_world->disconnected.push_back(client_id); });
   world.good = net::ConnectWithRetry(world.server.port(), FastRetry(), 3);
-  CompleteHandshake(world, world.good, kGoodClientId, "identity");
+  CompleteHandshake(world, world.good, {kGoodClientId}, "identity");
 }
 
 // Delivers a real broadcast to the good client, proving its by_client_
@@ -214,6 +187,7 @@ void ProbeGoodClient(World& world) {
   msg.round = world.execs;
   msg.job_index = world.execs;
   msg.params = {1.0f, 2.0f};
+  msg.client_id = kGoodClientId;
   if (!world.server.SendTo(kGoodClientId, net::EncodeModelBroadcast(msg))) {
     throw std::runtime_error("invariant: good client unreachable");
   }

@@ -83,10 +83,10 @@ void MakeAfczSeeds(const fs::path& dir) {
     compress::AppendEncodedParams(bytes, compress::Get(name), values);
     WriteSeed(dir, std::string("container_") + name, bytes);
   }
-  // Mode 0 also accepts raw AFPM (legacy peers).
-  std::vector<std::uint8_t> legacy{0x00};
-  nn::AppendFlatParams(legacy, values);
-  WriteSeed(dir, "container_legacy_afpm", legacy);
+  // Mode 0 also accepts raw AFPM (identity payloads).
+  std::vector<std::uint8_t> raw{0x00};
+  nn::AppendFlatParams(raw, values);
+  WriteSeed(dir, "container_raw_afpm", raw);
   // Modes 1-4: (count, body) fed straight to each codec's DecodeBody.
   for (std::uint8_t mode = 1; mode <= 4; ++mode) {
     std::vector<std::uint8_t> bytes{mode};
@@ -110,36 +110,22 @@ void MakeAfckSeeds(const fs::path& dir) {
 void MakeFrameSeeds(const fs::path& dir) {
   const std::vector<float> params = Ramp(8);
 
-  WriteSeed(dir, "hello", net::EncodeFrame(net::EncodeAck({1})));
-  WriteSeed(dir, "hello_wide",
-            net::EncodeFrame(net::EncodeAck({0xFFFFFFFFull})));
-  WriteSeed(dir, "codec_offer",
-            net::EncodeFrame(net::EncodeCodecOffer({{"fp16", "int8"}})));
-  WriteSeed(dir, "codec_select",
-            net::EncodeFrame(net::EncodeCodecSelect({"fp16"})));
-  WriteSeed(dir, "trace_offer",
-            net::EncodeFrame(net::EncodeTraceOffer({})));
-  WriteSeed(dir, "trace_select",
-            net::EncodeFrame(net::EncodeTraceSelect({true})));
+  WriteSeed(dir, "hello", net::EncodeFrame(net::EncodeHello({{1}})));
+  WriteSeed(dir, "hello_many",
+            net::EncodeFrame(net::EncodeHello({{0, 1, 0x7FFFFFFF}})));
+  WriteSeed(dir, "offer",
+            net::EncodeFrame(net::EncodeOffer({{"fp16", "int8"}, true})));
+  WriteSeed(dir, "offer_empty", net::EncodeFrame(net::EncodeOffer({})));
+  WriteSeed(dir, "select",
+            net::EncodeFrame(net::EncodeSelect({"fp16", true})));
+  WriteSeed(dir, "ack", net::EncodeFrame(net::EncodeAck({1})));
   WriteSeed(dir, "shutdown", net::EncodeFrame(net::MakeShutdownFrame()));
-  WriteSeed(dir, "shm_offer",
-            net::EncodeFrame(net::EncodeShmOffer(
-                {"/afnt-1234-40000-7-0", std::uint64_t{1} << 22})));
-  WriteSeed(dir, "shm_select",
-            net::EncodeFrame(net::EncodeShmSelect({true})));
-
-  // A raw AFSH segment header (the fuzz_frame harness also sniffs input as
-  // one): magic + version + power-of-two ring size.
-  std::vector<std::uint8_t> afsh;
-  for (std::uint8_t b : {0x41, 0x46, 0x53, 0x48}) afsh.push_back(b);
-  for (std::uint8_t b : {0x01, 0x00, 0x00, 0x00}) afsh.push_back(b);
-  AppendU64(afsh, std::uint64_t{1} << 22);
-  WriteSeed(dir, "afsh_header", afsh);
 
   net::ModelBroadcastMsg broadcast;
   broadcast.round = 3;
   broadcast.job_index = 7;
   broadcast.params = params;
+  broadcast.client_id = 3;
   broadcast.trace_id = 0x1122334455667788ull;
   broadcast.parent_span_id = 0x99aabbccddeeff00ull;
   WriteSeed(dir, "broadcast_traced",
@@ -159,7 +145,7 @@ void MakeFrameSeeds(const fs::path& dir) {
 
   // Two frames back to back (the stream decoder loops), and a bare prefix
   // (DecodeFrame must report "incomplete", not throw).
-  std::vector<std::uint8_t> pair = net::EncodeFrame(net::EncodeAck({5}));
+  std::vector<std::uint8_t> pair = net::EncodeFrame(net::EncodeHello({{5}}));
   Append(pair, net::EncodeFrame(net::EncodeClientUpdate(update)));
   WriteSeed(dir, "two_frames", pair);
   const std::vector<std::uint8_t> whole =
@@ -169,24 +155,42 @@ void MakeFrameSeeds(const fs::path& dir) {
 }
 
 void MakeServerSessionSeeds(const fs::path& dir) {
-  // A full well-formed session: hello, both selects, one update.
+  // A full well-formed session: hello, select, one update.
   net::ClientUpdateMsg update;
   update.client_id = 5;
   update.job_index = 1;
   update.base_round = 0;
   update.num_samples = 10;
   update.delta = Ramp(6);
-  std::vector<std::uint8_t> good = net::EncodeFrame(net::EncodeAck({5}));
-  Append(good, net::EncodeFrame(net::EncodeCodecSelect({"identity"})));
-  Append(good, net::EncodeFrame(net::EncodeTraceSelect({false})));
+  std::vector<std::uint8_t> good = net::EncodeFrame(net::EncodeHello({{5}}));
+  Append(good, net::EncodeFrame(net::EncodeSelect({"identity", false})));
   Append(good, net::EncodeFrame(net::EncodeClientUpdate(update)));
   WriteSeed(dir, "full_session", good);
 
-  // Hellos with hostile id values (the truncating-cast surface).
-  WriteSeed(dir, "hello_neg",
-            net::EncodeFrame(net::EncodeAck({0xFFFFFFFFull})));
-  WriteSeed(dir, "hello_wrap",
-            net::EncodeFrame(net::EncodeAck({0x100000001ull})));
+  // A hello naming many ids, one of them INT_MAX (the boundary id).
+  std::vector<std::uint8_t> many =
+      net::EncodeFrame(net::EncodeHello({{6, 7, 0x7FFFFFFF}}));
+  Append(many, net::EncodeFrame(net::EncodeSelect({"fp16", true})));
+  WriteSeed(dir, "hello_many", many);
+
+  // A select naming a codec the server did not offer.
+  std::vector<std::uint8_t> unoffered =
+      net::EncodeFrame(net::EncodeHello({{8}}));
+  Append(unoffered,
+         net::EncodeFrame(net::EncodeSelect({"topk-delta", false})));
+  WriteSeed(dir, "select_unoffered", unoffered);
+
+  // A hello whose id is the -1 sentinel (EncodeHello refuses negative ids,
+  // so the id bytes are patched in after encoding).
+  std::vector<std::uint8_t> negative =
+      net::EncodeFrame(net::EncodeHello({{5}}));
+  for (std::size_t i = negative.size() - 4; i < negative.size(); ++i) {
+    negative[i] = 0xFF;
+  }
+  WriteSeed(dir, "hello_neg", negative);
+
+  // The retired hello form: an Ack as the first frame.
+  WriteSeed(dir, "ack_first", net::EncodeFrame(net::EncodeAck({5})));
 
   // An update before any handshake (must evict only the sender).
   WriteSeed(dir, "update_first",

@@ -195,7 +195,7 @@ std::vector<float> ParseAnyParams(std::span<const std::uint8_t> bytes,
   AF_CHECK_GE(rest.size(), sizeof(kMagic))
       << "truncated parameter block at byte offset " << *offset;
   if (std::memcmp(rest.data(), kAfpmMagic, sizeof(kAfpmMagic)) == 0) {
-    // Legacy / identity-on-disk form: a raw AFPM block.
+    // Identity form, on the wire and on disk: a raw AFPM block.
     return nn::ParseFlatParams(bytes, offset);
   }
   AF_CHECK(std::memcmp(rest.data(), kMagic, sizeof(kMagic)) == 0)

@@ -99,7 +99,7 @@ void AppendEncodedParams(std::vector<std::uint8_t>& out, const Codec& codec,
                          FeedbackState* feedback = nullptr);
 
 // Parses one parameter block starting at `*offset`, advancing past it.
-// Sniffs the magic: a raw AFPM block (legacy peers, uncompressed
+// Sniffs the magic: a raw AFPM block (identity payloads, uncompressed
 // checkpoints) and an AFCZ container are both accepted. Throws
 // util::CheckError on malformed input — bad magic, unknown codec name,
 // checksum mismatch, truncation — without reading past the buffer.

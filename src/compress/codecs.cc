@@ -59,7 +59,7 @@ std::uint64_t ReadVarint(std::span<const std::uint8_t> body,
 // --- identity ----------------------------------------------------------
 
 // Lossless pass-through; the body is a raw AFPM block so an AFCZ/identity
-// container is the legacy format with a 35-byte preamble.
+// container is the raw AFPM form with a 35-byte preamble.
 class IdentityCodec final : public Codec {
  public:
   const char* name() const override { return "identity"; }

@@ -137,18 +137,8 @@ defense::AggregationResult AsyncFilter::Process(
   // moving-average estimators. Alg. 1 absorbs before scoring.
   {
     AF_TRACE_SPAN("filter.absorb");
-    if (!options_.absorb_only_accepted) {
-      for (const auto& update : updates) {
-        bank_.Absorb(update.staleness, update.delta);
-      }
-    } else {
-      // Ensure every staleness level has at least one observation so scoring
-      // is well-defined; the accepted ones are absorbed at the end.
-      for (const auto& update : updates) {
-        if (!bank_.HasGroup(update.staleness)) {
-          bank_.Absorb(update.staleness, update.delta);
-        }
-      }
+    for (const auto& update : updates) {
+      bank_.Absorb(update.staleness, update.delta);
     }
   }
 

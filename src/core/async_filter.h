@@ -47,9 +47,6 @@ struct AsyncFilterOptions {
   // How Eq. 7 normalises the group-distance signal (see suspicious_score.h
   // for why the literal cross-group reading is kept only as an ablation).
   ScoreNormalization normalization = ScoreNormalization::kGroupRms;
-  // Alg. 1 absorbs every received update into the group estimator before
-  // scoring; setting this to true only absorbs accepted ones (ablation).
-  bool absorb_only_accepted = false;
   // A deferred update is dropped once re-deferred this many times, keeping
   // the buffer from accumulating zombies.
   std::size_t max_deferrals = 2;

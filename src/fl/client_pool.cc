@@ -19,6 +19,7 @@
 #include "fl/trace_context.h"
 #include "net/frame.h"
 #include "net/reactor.h"
+#include "net/session.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/check.h"
@@ -275,35 +276,17 @@ struct VirtualClientPool::Impl {
         // nothing to retire.
         acks_dropped.Increment();
         return;
-      case net::MessageType::kCodecOffer: {
-        // Pick the first offered codec this build knows; identity otherwise.
-        const net::CodecOfferMsg offer = net::DecodeCodecOffer(frame);
-        std::string pick = "identity";
-        for (const std::string& name : offer.codecs) {
-          if (compress::Has(name)) {
-            pick = name;
-            break;
-          }
-        }
-        QueueToConn(pc, net::EncodeCodecSelect({pick}));
-        const compress::Codec& selected = compress::Get(pick);
-        pc.codec = compress::IsIdentity(selected) ? nullptr : &selected;
+      case net::MessageType::kOffer: {
+        const net::SelectMsg select = net::AnswerOffer(
+            net::DecodeOffer(frame), options.trace_context);
+        QueueToConn(pc, net::EncodeSelect(select));
+        pc.codec = net::SelectedCodec(select.codec);
         return;
       }
-      case net::MessageType::kTraceOffer:
-        net::DecodeTraceOffer(frame);
-        QueueToConn(pc, net::EncodeTraceSelect({options.trace_context}));
-        return;
-      case net::MessageType::kShmOffer:
-        // Rings are per-connection-pair; a mux connection declines (the
-        // server skips the offer for kHello sessions anyway).
-        net::DecodeShmOffer(frame);
-        QueueToConn(pc, net::EncodeShmSelect({false}));
-        return;
       case net::MessageType::kModelBroadcast: {
         const net::ModelBroadcastMsg msg = net::DecodeModelBroadcast(frame);
         AF_CHECK_GE(msg.client_id, 0)
-            << "pool: broadcast without an AFVC client-id block";
+            << "pool: broadcast for negative client " << msg.client_id;
         AF_CHECK_LT(msg.client_id, options.num_clients)
             << "pool: broadcast for unknown client " << msg.client_id;
         VirtualJob job;
@@ -474,7 +457,7 @@ void VirtualClientPool::Start() {
   }
 
   // Client c rides connection c % connections; each connection announces
-  // its slice with one multiplexed hello.
+  // its slice with one hello.
   std::vector<net::HelloMsg> hellos(static_cast<std::size_t>(connections));
   for (int c = 0; c < opt.num_clients; ++c) {
     hellos[static_cast<std::size_t>(c % connections)].client_ids.push_back(c);

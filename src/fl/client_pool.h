@@ -2,7 +2,7 @@
 //
 // The thread-per-client worker model is dead at 10k clients. A
 // VirtualClientPool instead multiplexes N simulated clients over a small
-// set of TCP connections (each announcing its id slice with one kHello
+// set of TCP connections (each announcing its id slice with one Hello
 // frame) and runs their training jobs on a shared work queue drained by a
 // fixed crew of worker threads — 100k–1M-client populations cost
 // connections + workers, not threads.
@@ -10,7 +10,7 @@
 //   pump thread (client-side net::Reactor)     engine workers
 //   ───────────────────────────────────────    ─────────────────────────
 //   reads sockets, demuxes ModelBroadcasts     pop job → optional latency
-//   by their AFVC client-id block, submits     sleep → train fn → encode
+//   by their client-id field, submits          sleep → train fn → encode
 //   jobs; flushes outboxes the workers         ClientUpdate into the
 //   filled (woken via Reactor::Wakeup)         conn's outbox → Wakeup
 //
@@ -44,7 +44,9 @@ struct LatencyModelSpec {
 // experiment surface (ExperimentConfig::pool / DistributedSpec::pool).
 struct ClientPoolSpec {
   enum class Mode {
-    kReal,     // one OS thread + one connection per client (legacy)
+    // Default: one OS thread + one connection per client; the only mode
+    // with fault injection.
+    kReal,
     kVirtual,  // multiplexed virtual clients (this header)
   };
   Mode mode = Mode::kReal;
@@ -97,7 +99,7 @@ struct VirtualPoolOptions {
   int connections = 0;  // 0 → ResolvePoolConnections default
   int workers = 0;      // 0 → ResolvePoolWorkers default
   int io_timeout_ms = 10000;
-  bool trace_context = false;  // answer the server's TraceOffer with this
+  bool trace_context = false;  // accept trace context when offered
   net::RetryConfig retry;
   std::uint64_t seed = 0;
   LatencyModelSpec latency;
@@ -120,9 +122,9 @@ class VirtualClientPool {
   VirtualClientPool(const VirtualClientPool&) = delete;
   VirtualClientPool& operator=(const VirtualClientPool&) = delete;
 
-  // Connects every pool connection (kHello handshake sent) and starts the
-  // pump + engine. Throws util::CheckError when a connection cannot be
-  // established.
+  // Connects every pool connection (Hello sent; the pump answers the
+  // server's Offer) and starts the pump + engine. Throws util::CheckError
+  // when a connection cannot be established.
   void Start();
 
   // Joins the pump and drains the engine. Safe to call twice; called by

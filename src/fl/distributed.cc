@@ -1,8 +1,5 @@
 #include "fl/distributed.h"
 
-#include <poll.h>
-
-#include <algorithm>
 #include <chrono>
 #include <deque>
 #include <map>
@@ -12,6 +9,7 @@
 #include "compress/codec.h"
 #include "fl/trace_context.h"
 #include "net/server.h"
+#include "net/session.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/arena.h"
@@ -52,75 +50,12 @@ struct WorkerContext {
   TransportOptions options;
 };
 
-// The worker's data path: frames go over the socket until a ShmSelect{true}
-// was sent, then over the segment's rings (the socket stays open purely as
-// the liveness signal — readability after activation means EOF).
-struct WorkerLink {
-  net::Connection* conn = nullptr;
-  net::ShmSegment* shm = nullptr;  // non-null once rings are active
-  std::vector<std::uint8_t> ring_in;  // undecoded downlink-ring bytes
-
-  void SendFrameBytes(std::span<const std::uint8_t> bytes, int timeout_ms) {
-    if (shm != nullptr) {
-      AF_CHECK(shm->uplink().WriteAll(bytes, timeout_ms))
-          << "shm uplink write timed out";
-      return;
-    }
-    conn->SendBytes(bytes, timeout_ms);
-  }
-
-  net::Connection::RecvStatus TryRecvFrame(net::Frame* out, int timeout_ms) {
-    if (shm == nullptr) {
-      return conn->TryRecvFrame(out, timeout_ms);
-    }
-    const auto deadline =
-        Clock::now() + std::chrono::milliseconds(
-                           timeout_ms < 0 ? kWorkerIdleTimeoutMs : timeout_ms);
-    while (true) {
-      net::FrameView view;
-      const std::size_t consumed = net::DecodeFrameView(ring_in, &view);
-      if (consumed != 0) {
-        out->type = view.type;
-        out->payload.assign(view.payload.begin(), view.payload.end());
-        ring_in.erase(ring_in.begin(),
-                      ring_in.begin() + static_cast<std::ptrdiff_t>(consumed));
-        return net::Connection::RecvStatus::kFrame;
-      }
-      if (shm->downlink().ReadSome(ring_in) > 0) {
-        continue;
-      }
-      pollfd pfd{conn->fd(), POLLIN, 0};
-      if (::poll(&pfd, 1, 0) > 0 &&
-          (pfd.revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
-        return net::Connection::RecvStatus::kEof;
-      }
-      const auto left =
-          std::chrono::duration_cast<std::chrono::milliseconds>(deadline -
-                                                                Clock::now())
-              .count();
-      if (left <= 0) {
-        return net::Connection::RecvStatus::kTimeout;
-      }
-      // Short futex sleeps so the EOF poll above stays responsive.
-      shm->downlink().WaitReadable(
-          static_cast<int>(std::min<long long>(left, 50)));
-    }
-  }
-
-  bool RecvFrame(net::Frame* out, int timeout_ms) {
-    const auto status = TryRecvFrame(out, timeout_ms);
-    AF_CHECK(status != net::Connection::RecvStatus::kTimeout)
-        << "recv deadline elapsed";
-    return status == net::Connection::RecvStatus::kFrame;
-  }
-};
-
 // Sends the pre-encoded update frame through the fault injector and waits
 // for the server's Ack, resending on the retry schedule. Resends reuse the
 // same bytes, so retries stay byte-identical. Returns false when the worker
 // must die (connection intentionally killed, truncated, or the server never
 // acked). Broadcast frames that arrive while waiting are parked in `inbox`.
-bool SendUpdateReliably(const WorkerContext& ctx, WorkerLink& link,
+bool SendUpdateReliably(const WorkerContext& ctx, net::Connection& conn,
                         net::FaultInjector& injector,
                         std::span<const std::uint8_t> update_bytes,
                         std::uint64_t job_index,
@@ -145,7 +80,7 @@ bool SendUpdateReliably(const WorkerContext& ctx, WorkerLink& link,
     if (injector.doomed() && data_frames_sent >= injector.kill_after_frame()) {
       AF_LOG(kInfo) << "net: fault injector killing client "
                     << ctx.client_id << "'s connection";
-      link.conn->Close();
+      conn.Close();
       return false;
     }
     auto action = net::FaultInjector::Action::kDeliver;
@@ -161,22 +96,21 @@ bool SendUpdateReliably(const WorkerContext& ctx, WorkerLink& link,
         break;  // never hits the wire; the ack timeout triggers a resend
       case net::FaultInjector::Action::kTruncate:
         // A frame prefix then a hard close: the server sees a stream that
-        // dies mid-frame and evicts us. (Faulted workers never activate
-        // shm, so this always acts on the real socket.)
-        link.conn->SendBytes(update_bytes.first(update_bytes.size() / 2),
-                             ctx.options.io_timeout_ms);
-        link.conn->Close();
+        // dies mid-frame and evicts us.
+        conn.SendBytes(update_bytes.first(update_bytes.size() / 2),
+                       ctx.options.io_timeout_ms);
+        conn.Close();
         return false;
       case net::FaultInjector::Action::kDelay:
         SleepMs(injector.delay_ms());
-        link.SendFrameBytes(update_bytes, ctx.options.io_timeout_ms);
+        conn.SendBytes(update_bytes, ctx.options.io_timeout_ms);
         break;
       case net::FaultInjector::Action::kDuplicate:
-        link.SendFrameBytes(update_bytes, ctx.options.io_timeout_ms);
-        link.SendFrameBytes(update_bytes, ctx.options.io_timeout_ms);
+        conn.SendBytes(update_bytes, ctx.options.io_timeout_ms);
+        conn.SendBytes(update_bytes, ctx.options.io_timeout_ms);
         break;
       case net::FaultInjector::Action::kDeliver:
-        link.SendFrameBytes(update_bytes, ctx.options.io_timeout_ms);
+        conn.SendBytes(update_bytes, ctx.options.io_timeout_ms);
         break;
     }
 
@@ -191,7 +125,7 @@ bool SendUpdateReliably(const WorkerContext& ctx, WorkerLink& link,
         break;  // resend
       }
       net::Frame in;
-      const auto status = link.TryRecvFrame(&in, static_cast<int>(left));
+      const auto status = conn.TryRecvFrame(&in, static_cast<int>(left));
       if (status == net::Connection::RecvStatus::kTimeout) {
         break;  // resend
       }
@@ -214,7 +148,7 @@ bool SendUpdateReliably(const WorkerContext& ctx, WorkerLink& link,
   AF_LOG(kWarn) << "net: client " << ctx.client_id << " gave up on job "
                 << job_index << " after "
                 << ctx.options.retry.max_attempts << " attempts";
-  link.conn->Close();
+  conn.Close();
   return false;
 }
 
@@ -232,10 +166,10 @@ void RunWorker(WorkerContext ctx) {
     net::Connection conn = net::ConnectWithRetry(
         ctx.port, ctx.options.retry,
         ctx.seed ^ static_cast<std::uint64_t>(ctx.client_id));
-    // Handshake: identify ourselves.
-    conn.SendFrame(net::EncodeAck(
-                       {static_cast<std::uint64_t>(ctx.client_id)}),
-                   ctx.options.io_timeout_ms);
+    const net::SelectMsg select = net::ClientHandshake(
+        conn, {{ctx.client_id}}, ctx.options.trace_context,
+        ctx.options.handshake_timeout_ms);
+    const compress::Codec* codec = net::SelectedCodec(select.codec);
 
     // Training jobs draw from the same streams as the in-process backend,
     // which is what makes tcp and inproc runs bit-identical.
@@ -243,14 +177,7 @@ void RunWorker(WorkerContext ctx) {
     std::deque<net::Frame> inbox;
     std::uint64_t data_frames_sent = 0;
     bool saw_shutdown = false;
-    // Negotiated uplink codec. Stays null — legacy identity bytes — until a
-    // CodecOffer arrives; an old server never sends one, so its first frame
-    // (a ModelBroadcast) lands below and the run proceeds uncompressed.
-    const compress::Codec* codec = nullptr;
     compress::FeedbackState feedback;
-    std::unique_ptr<net::ShmSegment> shm;
-    WorkerLink link;
-    link.conn = &conn;
     std::vector<std::uint8_t> update_bytes;  // reused per-job encode scratch
 
     while (!saw_shutdown) {
@@ -258,63 +185,18 @@ void RunWorker(WorkerContext ctx) {
       if (!inbox.empty()) {
         frame = std::move(inbox.front());
         inbox.pop_front();
-      } else if (!link.RecvFrame(&frame, kWorkerIdleTimeoutMs)) {
+      } else if (!conn.RecvFrame(&frame, kWorkerIdleTimeoutMs)) {
         break;  // server closed the connection
       }
       if (frame.type == net::MessageType::kShutdown) {
         break;
       }
-      if (frame.type == net::MessageType::kTraceOffer) {
-        net::DecodeTraceOffer(frame);
-        conn.SendFrame(
-            net::EncodeTraceSelect({ctx.options.trace_context}),
-            ctx.options.io_timeout_ms);
-        continue;
-      }
-      if (frame.type == net::MessageType::kShmOffer) {
-        const net::ShmOfferMsg offer = net::DecodeShmOffer(frame);
-        bool mapped = false;
-        // Fault injection acts on the socket (truncate, kill); a faulted
-        // worker that moved its data frames onto rings would make those
-        // faults meaningless, so it declines and stays on TCP.
-        if (!ctx.options.faults.Any()) {
-          try {
-            shm = net::ShmSegment::Open(
-                offer.name, static_cast<std::size_t>(offer.ring_bytes));
-            mapped = true;
-          } catch (const util::CheckError& e) {
-            AF_LOG(kWarn) << "net: shm segment " << offer.name
-                          << " rejected (" << e.what()
-                          << "); staying on TCP";
-          }
-        }
-        conn.SendFrame(net::EncodeShmSelect({mapped}),
-                       ctx.options.io_timeout_ms);
-        if (mapped) {
-          link.shm = shm.get();  // all data frames ride the rings from here
-        }
-        continue;
-      }
-      if (frame.type == net::MessageType::kCodecOffer) {
-        // Pick the first offered codec this build knows; identity otherwise.
-        const net::CodecOfferMsg offer = net::DecodeCodecOffer(frame);
-        std::string pick = "identity";
-        for (const std::string& name : offer.codecs) {
-          if (compress::Has(name)) {
-            pick = name;
-            break;
-          }
-        }
-        conn.SendFrame(net::EncodeCodecSelect({pick}),
-                       ctx.options.io_timeout_ms);
-        const compress::Codec& selected = compress::Get(pick);
-        codec = compress::IsIdentity(selected) ? nullptr : &selected;
-        continue;
-      }
       if (frame.type != net::MessageType::kModelBroadcast) {
         continue;  // stray ack from a resolved resend race
       }
       const net::ModelBroadcastMsg job = net::DecodeModelBroadcast(frame);
+      AF_CHECK_EQ(job.client_id, ctx.client_id)
+          << "broadcast addressed to another client";
       const std::uint64_t stream_index =
           (static_cast<std::uint64_t>(ctx.client_id) << 32) | job.job_index;
       auto rng = rngs.Stream("client-train", stream_index);
@@ -342,7 +224,7 @@ void RunWorker(WorkerContext ctx) {
       // byte-identical and the feedback residual advances once.
       update_bytes.clear();
       net::AppendClientUpdateFrame(update_bytes, update, codec, &feedback);
-      if (!SendUpdateReliably(ctx, link, injector, update_bytes,
+      if (!SendUpdateReliably(ctx, conn, injector, update_bytes,
                               job.job_index, inbox, data_frames_sent,
                               backoff, saw_shutdown)) {
         return;
@@ -402,18 +284,14 @@ class TcpBackend : public TrainBackend {
       // no per-job copy of the model.
       msg.params = net::UpdateView(std::span<const float>(*job.base),
                                    job.base);
-      // Multiplexed sessions need the AFVC block to demux the job;
-      // single-client sessions keep the legacy wire bytes.
-      if (server_->IsMultiplexed(job.client_id)) {
-        msg.client_id = job.client_id;
-      }
+      msg.client_id = job.client_id;
       if (options_.trace_context &&
           server_->ClientTraceContext(job.client_id)) {
         msg.trace_id = TraceIdFor(seed_, job.client_id, job.job_index);
         msg.parent_span_id = DispatchSpanId(msg.trace_id);
       }
       // Downlink codec: the client's negotiated pick when it can carry full
-      // params; identity (legacy bytes) for delta-only codecs.
+      // params; identity for delta-only codecs.
       const compress::Codec* codec = server_->ClientCodec(job.client_id);
       if (codec != nullptr && !codec->broadcast_safe()) {
         codec = nullptr;
@@ -595,8 +473,6 @@ SimulationResult DistributedDriver::Run() {
   server_options.port = spec.transport.port;
   server_options.io_timeout_ms = spec.transport.io_timeout_ms;
   server_options.offer_trace_context = spec.transport.trace_context;
-  server_options.offer_shm = spec.transport.shm;
-  server_options.shm_ring_bytes = spec.transport.shm_ring_bytes;
   if (!spec.transport.codec.empty()) {
     // Validate the name up front (throws with the known-codec list) and
     // advertise it; clients pick it during their handshake.

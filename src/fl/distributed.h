@@ -30,7 +30,6 @@
 #include "fl/client_pool.h"
 #include "fl/simulation.h"
 #include "net/fault_injector.h"
-#include "net/shm_ring.h"
 #include "net/socket.h"
 
 namespace fl {
@@ -43,28 +42,19 @@ struct TransportOptions {
   int handshake_timeout_ms = 10000;
   net::RetryConfig retry;      // connect retry + update resend backoff
   net::FaultConfig faults;     // wire fault injection (off by default)
-  // Update-compression codec name (compress/codec.h). Empty → no codec
-  // negotiation, legacy wire bytes. Non-empty (including "identity") makes
-  // the server advertise it; clients pick it during the handshake, encode
-  // uplink deltas with it, and broadcast-safe codecs also compress the
-  // downlink. Delta-only codecs (int8, topk-delta) fall back to identity
-  // for broadcasts.
+  // Update-compression codec name (compress/codec.h). Empty → the Offer
+  // lists no codec and every client uses identity. Non-empty (including
+  // "identity") makes the server offer it; clients pick it during the
+  // handshake, encode uplink deltas with it, and broadcast-safe codecs also
+  // compress the downlink. Delta-only codecs (int8, topk-delta) fall back
+  // to identity for broadcasts.
   std::string codec;
   // Trace-context propagation: the server offers it during the handshake
   // and, for clients that accept, stamps each job's broadcast with a
   // deterministic trace id (fl/trace_context.h) that the client echoes on
   // its update. Ids are pure functions of (seed, client, job), so enabling
-  // this never perturbs results. Off → legacy wire bytes.
+  // this never perturbs results. Off → no AFTC blocks on the wire.
   bool trace_context = false;
-  // Shared-memory rings (--transport=shm): the server offers each client an
-  // mmap'd two-ring segment after its hello; data frames then bypass the
-  // socket entirely. The frame bytes on the rings are identical to the TCP
-  // bytes, so results stay bit-identical across transports. Workers with
-  // fault injection configured decline the offer (faults act on the
-  // socket), and any mapping failure falls back to TCP per connection.
-  // Multiplexed (virtual-pool) connections are never offered rings.
-  bool shm = false;
-  std::size_t shm_ring_bytes = net::kShmDefaultRingBytes;
 };
 
 // Everything a distributed run needs, in one bag — the mirror of

@@ -31,8 +31,6 @@ const char* TransportKindName(TransportKind kind) {
       return "inproc";
     case TransportKind::kTcp:
       return "tcp";
-    case TransportKind::kShm:
-      return "shm";
   }
   return "?";
 }
@@ -48,11 +46,8 @@ TransportKind ParseTransportKind(const std::string& name) {
   if (canon == "tcp" || canon == "net" || canon == "distributed") {
     return TransportKind::kTcp;
   }
-  if (canon == "shm" || canon == "shared-memory") {
-    return TransportKind::kShm;
-  }
   AF_CHECK(false) << "unknown transport name: " << name
-                  << " (expected inproc, tcp, or shm)";
+                  << " (expected inproc or tcp)";
   return TransportKind::kInproc;
 }
 
@@ -300,7 +295,7 @@ SimulationResult RunExperiment(const ExperimentConfig& config,
     // hook is an in-process-only affordance, and checkpointing mid-run
     // worker state is not supported over the wire.
     AF_CHECK(observer == nullptr)
-        << "buffer observers are not supported with --transport=tcp/shm";
+        << "buffer observers are not supported with --transport=tcp";
     AF_CHECK(config.checkpoint_path.empty() && !config.resume)
         << "checkpoint/resume requires --transport=inproc";
     DistributedSpec dist_spec;
@@ -314,7 +309,6 @@ SimulationResult RunExperiment(const ExperimentConfig& config,
     dist_spec.server_root = std::move(root);
     dist_spec.transport = config.net;
     dist_spec.transport.codec = config.compress;
-    dist_spec.transport.shm = config.transport == TransportKind::kShm;
     dist_spec.pool = config.pool;
     DistributedDriver driver(std::move(dist_spec));
     return stamp_wall(driver.Run());

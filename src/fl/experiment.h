@@ -16,14 +16,12 @@
 
 namespace fl {
 
-// How local training jobs are executed: in-process thread-pool waves,
-// client workers behind a loopback TCP transport, or the same workers with
-// data frames on shared-memory rings (see docs/NETWORK.md). All three are
-// bit-identical for a given config.
+// How local training jobs are executed: in-process thread-pool waves, or
+// client workers behind a loopback TCP transport (see docs/NETWORK.md).
+// Both are bit-identical for a given config.
 enum class TransportKind {
   kInproc,
   kTcp,
-  kShm,  // tcp handshake + control, mmap'd rings for data frames
 };
 
 const char* TransportKindName(TransportKind kind);

@@ -52,17 +52,10 @@ RuntimeOptions RuntimeOptions::FromFlags(const util::FlagParser& flags,
 void RuntimeOptions::Validate() const {
   AF_CHECK(compress.empty() || compress::Registry::Global().Has(compress))
       << "unknown --compress: " << compress << " (try --list-codecs)";
-  const bool virtual_fleet = pool.mode == ClientPoolSpec::Mode::kVirtual;
-  if (virtual_fleet) {
-    AF_CHECK(!net.faults.Any())
-        << "--clients-virtual is incompatible with --fault-* injection "
-           "(virtual clients send updates exactly once; use the real "
-           "fleet for fault experiments)";
-    AF_CHECK(transport != TransportKind::kShm)
-        << "--clients-virtual is incompatible with --transport=shm "
-           "(shared-memory rings are per-connection-pair; multiplexed "
-           "connections stay on TCP)";
-  }
+  AF_CHECK(pool.mode != ClientPoolSpec::Mode::kVirtual || !net.faults.Any())
+      << "--clients-virtual is incompatible with --fault-* injection "
+         "(virtual clients send updates exactly once; use the real "
+         "fleet for fault experiments)";
   AF_CHECK_GE(pool.connections, 0)
       << "--pool-connections must be >= 0 (0 picks a default)";
   AF_CHECK_LE(pool.connections, 4096) << "--pool-connections too large";

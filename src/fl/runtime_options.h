@@ -43,8 +43,7 @@ struct RuntimeOptions {
                                   std::uint64_t seed);
 
   // Cross-flag consistency: known codec name, no fault injection on a
-  // virtual fleet, no shm transport with a virtual fleet (multiplexed
-  // connections are never offered rings), sane connection counts.
+  // virtual fleet, sane connection counts.
   // Throws util::CheckError with an actionable message.
   void Validate() const;
 

@@ -33,13 +33,9 @@ bool KnownType(std::uint16_t type) {
     case MessageType::kClientUpdate:
     case MessageType::kAck:
     case MessageType::kShutdown:
-    case MessageType::kCodecOffer:
-    case MessageType::kCodecSelect:
-    case MessageType::kTraceOffer:
-    case MessageType::kTraceSelect:
-    case MessageType::kShmOffer:
-    case MessageType::kShmSelect:
     case MessageType::kHello:
+    case MessageType::kOffer:
+    case MessageType::kSelect:
       return true;
   }
   return false;
@@ -47,7 +43,7 @@ bool KnownType(std::uint16_t type) {
 
 // Trailing trace-context block: u32 "AFTC" magic, u64 trace_id,
 // u64 parent_span_id. Appended only for traced messages; sniffed (never
-// required) on decode, so untraced wire bytes are unchanged.
+// required) on decode.
 inline constexpr std::uint32_t kTraceBlockMagic = 0x43544641u;  // "AFTC" (LE)
 inline constexpr std::size_t kTraceBlockBytes =
     sizeof(std::uint32_t) + 2 * sizeof(std::uint64_t);
@@ -81,71 +77,8 @@ void MaybeReadTraceBlock(const FrameView& frame, std::size_t* offset,
   *offset = probe;
 }
 
-// Trailing client-id block for multiplexed broadcasts: u32 "AFVC" magic,
-// i32 client_id. Always the very last bytes of the payload when present.
-inline constexpr std::uint32_t kClientBlockMagic = 0x43564641u;  // "AFVC"
-inline constexpr std::size_t kClientBlockBytes =
-    sizeof(std::uint32_t) + sizeof(std::int32_t);
-
-void AppendClientBlock(std::vector<std::uint8_t>& out,
-                       std::int32_t client_id) {
-  if (client_id < 0) {
-    return;
-  }
-  AppendRaw(out, kClientBlockMagic);
-  AppendRaw(out, client_id);
-}
-
-// Sniffs the trailing AFVC (last) and AFTC (second-to-last) blocks. The
-// AFVC interpretation commits only when the full tail parses — the last 8
-// bytes carry the magic and a non-negative id, and the bytes between
-// `*offset` and the block are empty or exactly one AFTC block. Otherwise
-// everything rolls back to the legacy lone-AFTC sniff, so a pre-mux
-// payload whose final params bytes happen to spell "AFVC" still decodes
-// exactly as before.
-void MaybeReadTrailingBlocks(const FrameView& frame, std::size_t* offset,
-                             std::uint64_t* trace_id,
-                             std::uint64_t* parent_span_id,
-                             std::int32_t* client_id) {
-  const std::size_t remaining = frame.payload.size() - *offset;
-  if (client_id != nullptr && remaining >= kClientBlockBytes) {
-    const std::size_t tail = frame.payload.size() - kClientBlockBytes;
-    std::size_t probe = tail;
-    const auto magic = ReadRaw<std::uint32_t>(frame.payload, &probe);
-    if (magic == kClientBlockMagic) {
-      const auto cid = ReadRaw<std::int32_t>(frame.payload, &probe);
-      const std::size_t middle = tail - *offset;
-      if (cid >= 0 && (middle == 0 || middle == kTraceBlockBytes)) {
-        bool consistent = true;
-        std::uint64_t tid = 0;
-        std::uint64_t psid = 0;
-        if (middle == kTraceBlockBytes) {
-          std::size_t trace_probe = *offset;
-          if (ReadRaw<std::uint32_t>(frame.payload, &trace_probe) ==
-              kTraceBlockMagic) {
-            tid = ReadRaw<std::uint64_t>(frame.payload, &trace_probe);
-            psid = ReadRaw<std::uint64_t>(frame.payload, &trace_probe);
-          } else {
-            consistent = false;
-          }
-        }
-        if (consistent) {
-          if (middle == kTraceBlockBytes) {
-            *trace_id = tid;
-            *parent_span_id = psid;
-          }
-          *client_id = cid;
-          *offset = frame.payload.size();
-          return;
-        }
-      }
-    }
-  }
-  MaybeReadTraceBlock(frame, offset, trace_id, parent_span_id);
-}
-
-// Either a legacy raw AFPM block (codec null or identity) or an AFCZ
-// container; peers sniff the magic on decode.
+// Either a raw AFPM block (codec null or identity) or an AFCZ container;
+// peers sniff the magic on decode.
 void AppendParams(std::vector<std::uint8_t>& out,
                   std::span<const float> values, const compress::Codec* codec,
                   compress::FeedbackState* feedback = nullptr) {
@@ -222,8 +155,8 @@ void AppendModelBroadcastPayload(std::vector<std::uint8_t>& out,
   AppendRaw(out, msg.round);
   AppendRaw(out, msg.job_index);
   AppendParams(out, msg.params, codec);
+  AppendRaw(out, msg.client_id);
   AppendTraceBlock(out, msg.trace_id, msg.parent_span_id);
-  AppendClientBlock(out, msg.client_id);
 }
 
 void AppendClientUpdatePayload(std::vector<std::uint8_t>& out,
@@ -250,20 +183,12 @@ const char* MessageTypeName(MessageType type) {
       return "Ack";
     case MessageType::kShutdown:
       return "Shutdown";
-    case MessageType::kCodecOffer:
-      return "CodecOffer";
-    case MessageType::kCodecSelect:
-      return "CodecSelect";
-    case MessageType::kTraceOffer:
-      return "TraceOffer";
-    case MessageType::kTraceSelect:
-      return "TraceSelect";
-    case MessageType::kShmOffer:
-      return "ShmOffer";
-    case MessageType::kShmSelect:
-      return "ShmSelect";
     case MessageType::kHello:
       return "Hello";
+    case MessageType::kOffer:
+      return "Offer";
+    case MessageType::kSelect:
+      return "Select";
   }
   return "?";
 }
@@ -325,7 +250,7 @@ Frame EncodeModelBroadcast(const ModelBroadcastMsg& msg,
                            const compress::Codec* codec) {
   Frame frame;
   frame.type = MessageType::kModelBroadcast;
-  frame.payload.reserve(2 * sizeof(std::uint64_t) +
+  frame.payload.reserve(2 * sizeof(std::uint64_t) + sizeof(std::int32_t) +
                         nn::FlatParamsWireSize(msg.params.size()));
   AppendModelBroadcastPayload(frame.payload, msg, codec);
   return frame;
@@ -335,6 +260,7 @@ void AppendModelBroadcastFrame(std::vector<std::uint8_t>& out,
                                const ModelBroadcastMsg& msg,
                                const compress::Codec* codec) {
   out.reserve(out.size() + kFrameHeaderBytes + 2 * sizeof(std::uint64_t) +
+              sizeof(std::int32_t) +
               nn::FlatParamsWireSize(msg.params.size()));
   const std::size_t length_pos =
       BeginFrame(out, MessageType::kModelBroadcast);
@@ -349,8 +275,8 @@ ModelBroadcastMsg DecodeModelBroadcast(const FrameView& frame) {
   msg.round = ReadRaw<std::uint64_t>(frame.payload, &offset);
   msg.job_index = ReadRaw<std::uint64_t>(frame.payload, &offset);
   msg.params = ReadParamsView(frame.payload, &offset);
-  MaybeReadTrailingBlocks(frame, &offset, &msg.trace_id, &msg.parent_span_id,
-                          &msg.client_id);
+  msg.client_id = ReadRaw<std::int32_t>(frame.payload, &offset);
+  MaybeReadTraceBlock(frame, &offset, &msg.trace_id, &msg.parent_span_id);
   CheckFullyConsumed(frame, offset);
   return msg;
 }
@@ -409,108 +335,6 @@ AckMsg DecodeAck(const FrameView& frame) {
   return msg;
 }
 
-Frame EncodeCodecOffer(const CodecOfferMsg& msg) {
-  Frame frame;
-  frame.type = MessageType::kCodecOffer;
-  AF_CHECK_LE(msg.codecs.size(), 0xFFFFu) << "too many offered codecs";
-  AppendRaw(frame.payload, static_cast<std::uint16_t>(msg.codecs.size()));
-  for (const std::string& name : msg.codecs) {
-    AppendName(frame.payload, name);
-  }
-  return frame;
-}
-
-CodecOfferMsg DecodeCodecOffer(const FrameView& frame) {
-  CheckType(frame, MessageType::kCodecOffer);
-  CodecOfferMsg msg;
-  std::size_t offset = 0;
-  const auto count = ReadRaw<std::uint16_t>(frame.payload, &offset);
-  msg.codecs.reserve(count);
-  for (std::uint16_t i = 0; i < count; ++i) {
-    msg.codecs.push_back(ReadName(frame.payload, &offset));
-  }
-  CheckFullyConsumed(frame, offset);
-  return msg;
-}
-
-Frame EncodeCodecSelect(const CodecSelectMsg& msg) {
-  Frame frame;
-  frame.type = MessageType::kCodecSelect;
-  AppendName(frame.payload, msg.codec);
-  return frame;
-}
-
-CodecSelectMsg DecodeCodecSelect(const FrameView& frame) {
-  CheckType(frame, MessageType::kCodecSelect);
-  CodecSelectMsg msg;
-  std::size_t offset = 0;
-  msg.codec = ReadName(frame.payload, &offset);
-  CheckFullyConsumed(frame, offset);
-  return msg;
-}
-
-Frame EncodeTraceOffer(const TraceOfferMsg&) {
-  Frame frame;
-  frame.type = MessageType::kTraceOffer;
-  return frame;
-}
-
-TraceOfferMsg DecodeTraceOffer(const FrameView& frame) {
-  CheckType(frame, MessageType::kTraceOffer);
-  CheckFullyConsumed(frame, 0);
-  return TraceOfferMsg{};
-}
-
-Frame EncodeTraceSelect(const TraceSelectMsg& msg) {
-  Frame frame;
-  frame.type = MessageType::kTraceSelect;
-  frame.payload.push_back(msg.enabled ? 1 : 0);
-  return frame;
-}
-
-TraceSelectMsg DecodeTraceSelect(const FrameView& frame) {
-  CheckType(frame, MessageType::kTraceSelect);
-  TraceSelectMsg msg;
-  std::size_t offset = 0;
-  msg.enabled = ReadRaw<std::uint8_t>(frame.payload, &offset) != 0;
-  CheckFullyConsumed(frame, offset);
-  return msg;
-}
-
-Frame EncodeShmOffer(const ShmOfferMsg& msg) {
-  Frame frame;
-  frame.type = MessageType::kShmOffer;
-  AppendName(frame.payload, msg.name);
-  AppendRaw(frame.payload, msg.ring_bytes);
-  return frame;
-}
-
-ShmOfferMsg DecodeShmOffer(const FrameView& frame) {
-  CheckType(frame, MessageType::kShmOffer);
-  ShmOfferMsg msg;
-  std::size_t offset = 0;
-  msg.name = ReadName(frame.payload, &offset);
-  msg.ring_bytes = ReadRaw<std::uint64_t>(frame.payload, &offset);
-  CheckFullyConsumed(frame, offset);
-  return msg;
-}
-
-Frame EncodeShmSelect(const ShmSelectMsg& msg) {
-  Frame frame;
-  frame.type = MessageType::kShmSelect;
-  frame.payload.push_back(msg.enabled ? 1 : 0);
-  return frame;
-}
-
-ShmSelectMsg DecodeShmSelect(const FrameView& frame) {
-  CheckType(frame, MessageType::kShmSelect);
-  ShmSelectMsg msg;
-  std::size_t offset = 0;
-  msg.enabled = ReadRaw<std::uint8_t>(frame.payload, &offset) != 0;
-  CheckFullyConsumed(frame, offset);
-  return msg;
-}
-
 Frame EncodeHello(const HelloMsg& msg) {
   Frame frame;
   frame.type = MessageType::kHello;
@@ -538,6 +362,50 @@ HelloMsg DecodeHello(const FrameView& frame) {
   for (std::uint32_t i = 0; i < count; ++i) {
     msg.client_ids.push_back(ReadRaw<std::int32_t>(frame.payload, &offset));
   }
+  CheckFullyConsumed(frame, offset);
+  return msg;
+}
+
+Frame EncodeOffer(const OfferMsg& msg) {
+  Frame frame;
+  frame.type = MessageType::kOffer;
+  AF_CHECK_LE(msg.codecs.size(), 0xFFFFu) << "too many offered codecs";
+  AppendRaw(frame.payload, static_cast<std::uint16_t>(msg.codecs.size()));
+  for (const std::string& name : msg.codecs) {
+    AppendName(frame.payload, name);
+  }
+  frame.payload.push_back(msg.trace_context ? 1 : 0);
+  return frame;
+}
+
+OfferMsg DecodeOffer(const FrameView& frame) {
+  CheckType(frame, MessageType::kOffer);
+  OfferMsg msg;
+  std::size_t offset = 0;
+  const auto count = ReadRaw<std::uint16_t>(frame.payload, &offset);
+  msg.codecs.reserve(count);
+  for (std::uint16_t i = 0; i < count; ++i) {
+    msg.codecs.push_back(ReadName(frame.payload, &offset));
+  }
+  msg.trace_context = ReadRaw<std::uint8_t>(frame.payload, &offset) != 0;
+  CheckFullyConsumed(frame, offset);
+  return msg;
+}
+
+Frame EncodeSelect(const SelectMsg& msg) {
+  Frame frame;
+  frame.type = MessageType::kSelect;
+  AppendName(frame.payload, msg.codec);
+  frame.payload.push_back(msg.trace_context ? 1 : 0);
+  return frame;
+}
+
+SelectMsg DecodeSelect(const FrameView& frame) {
+  CheckType(frame, MessageType::kSelect);
+  SelectMsg msg;
+  std::size_t offset = 0;
+  msg.codec = ReadName(frame.payload, &offset);
+  msg.trace_context = ReadRaw<std::uint8_t>(frame.payload, &offset) != 0;
   CheckFullyConsumed(frame, offset);
   return msg;
 }

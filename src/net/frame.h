@@ -23,31 +23,17 @@
 // float payload is 4-byte aligned (it is, at every offset this protocol
 // emits). Such a message is valid only as long as the buffer it was decoded
 // from — consumers either finish with it inside the read callback or
-// materialize it once into an arena. The legacy Frame/DecodeFrame pair
-// (owning payload vector) remains for blocking clients and tests.
+// materialize it once into an arena. The owning Frame/DecodeFrame pair
+// serves blocking clients and tests.
 //
-// Codec negotiation (see docs/NETWORK.md): after the client's hello Ack, a
-// server configured with advertised codecs replies with a CodecOffer naming
-// them; the client answers with a CodecSelect naming its pick (identity when
-// nothing offered suits it). A server with no advertised codecs sends no
-// offer — the first post-hello frame is a ModelBroadcast, which a new client
-// reads as "old server: identity". Both fallbacks keep the wire bytes
-// exactly what they were before codecs existed.
-//
-// Trace-context negotiation follows the same pattern with TraceOffer /
-// TraceSelect frames. When both sides opt in, ModelBroadcast and
-// ClientUpdate payloads may carry a 20-byte trailing AFTC block
-// (u32 "AFTC" magic, u64 trace_id, u64 parent_span_id) after the parameter
-// block. The block is emitted only when trace_id is non-zero and decoders
-// sniff for it, so an untraced run — or a legacy peer — sees wire bytes
-// identical to before trace propagation existed.
-//
-// Shared-memory negotiation (see docs/NETWORK.md): a server running with
-// --transport=shm follows the hello with a ShmOffer naming an mmap-able
-// ring segment; the client answers with a ShmSelect saying whether it
-// mapped it. On acceptance both sides move data frames onto the rings (same
-// frame bytes, so bit-identity is free); on refusal — or with no offer —
-// the connection stays plain TCP.
+// Handshake (see docs/NETWORK.md): the client sends a Hello naming every
+// client id it carries; the server answers with one Offer (the codecs it
+// accepts, possibly none, and whether it offers trace context); the client
+// answers with one Select (its codec pick and whether it will attach trace
+// context). ModelBroadcast and ClientUpdate payloads may carry a 20-byte
+// trailing AFTC block (u32 "AFTC" magic, u64 trace_id, u64 parent_span_id)
+// after the fixed fields; it is emitted only when trace_id is non-zero and
+// decoders sniff for it, so an untraced run sends no block.
 #pragma once
 
 #include <cstddef>
@@ -65,18 +51,15 @@ struct FeedbackState;
 
 namespace net {
 
+// Values 5-10 belonged to retired frame types and are not reused.
 enum class MessageType : std::uint16_t {
   kModelBroadcast = 1,  // server → client: base params for one training job
   kClientUpdate = 2,    // client → server: the resulting delta
-  kAck = 3,             // both ways: connection hello / update receipt
+  kAck = 3,             // server → client: update receipt
   kShutdown = 4,        // server → client: run over, close cleanly
-  kCodecOffer = 5,      // server → client: codec names the server accepts
-  kCodecSelect = 6,     // client → server: the codec the client will use
-  kTraceOffer = 7,      // server → client: server understands trace context
-  kTraceSelect = 8,     // client → server: client will attach trace context
-  kShmOffer = 9,        // server → client: shared-memory ring segment name
-  kShmSelect = 10,      // client → server: whether the client mapped it
-  kHello = 11,          // client → server: multiplexed hello (many client ids)
+  kHello = 11,          // client → server: client ids on this connection
+  kOffer = 12,          // server → client: accepted codecs + trace context
+  kSelect = 13,         // client → server: the client's picks from the offer
 };
 
 const char* MessageTypeName(MessageType type);
@@ -139,14 +122,12 @@ struct ModelBroadcastMsg {
   std::uint64_t round = 0;
   std::uint64_t job_index = 0;
   UpdateView params;
+  // The client the job targets; a connection carrying many clients demuxes
+  // jobs by it. A fixed i32 right after the parameter block.
+  std::int32_t client_id = -1;
   // Cross-process trace context (0 = untraced → no AFTC block on the wire).
   std::uint64_t trace_id = 0;
   std::uint64_t parent_span_id = 0;
-  // Which multiplexed client the job targets. -1 (single-client sessions)
-  // emits no AFVC block, keeping legacy wire bytes unchanged; >= 0 appends
-  // a trailing 8-byte AFVC block (u32 "AFVC" magic, i32 client_id) after
-  // any AFTC block, so a virtual-client pool can demux jobs on one socket.
-  std::int32_t client_id = -1;
 };
 
 // The client's report for one job.
@@ -165,57 +146,39 @@ struct ClientUpdateMsg {
   std::uint64_t wire_bytes = 0;
 };
 
-// Hello (value = client id, sent once after connecting) or update receipt
-// (value = acknowledged job_index).
+// Update receipt: value = the acknowledged job_index.
 struct AckMsg {
   std::uint64_t value = 0;
 };
 
-// Codec names the server is willing to decode, preference-ordered.
-struct CodecOfferMsg {
-  std::vector<std::string> codecs;
-};
-
-// The codec the client will encode its updates with (and accepts on the
-// downlink, subject to broadcast-safety).
-struct CodecSelectMsg {
-  std::string codec;
-};
-
-// Server → client: "I understand AFTC trace-context blocks." Empty payload.
-struct TraceOfferMsg {};
-
-// Client → server: whether the client will attach trace context to its
-// updates (and accepts it on broadcasts).
-struct TraceSelectMsg {
-  bool enabled = false;
-};
-
-// Server → client: a shared-memory ring segment (shm_open name) sized
-// `ring_bytes` per direction, for same-host data frames.
-struct ShmOfferMsg {
-  std::string name;
-  std::uint64_t ring_bytes = 0;
-};
-
-// Client → server: whether the segment was mapped and validated. false →
-// the connection stays TCP (the fallback is always legal).
-struct ShmSelectMsg {
-  bool enabled = false;
-};
-
-// Client → server: multiplexed hello. One connection announces every
-// client id it will carry; the server binds them all to this session.
-// Single-client peers keep sending the legacy hello Ack instead.
+// Client → server, the first frame on every connection: every client id
+// the connection carries (one for a thread-per-client worker, a slice of
+// the fleet for a virtual-client pool connection).
 struct HelloMsg {
   std::vector<std::int32_t> client_ids;
 };
 
+// Server → client, the answer to a Hello: the codec names the server
+// decodes, preference-ordered (may be empty), and whether it offers
+// trace-context propagation.
+struct OfferMsg {
+  std::vector<std::string> codecs;
+  bool trace_context = false;
+};
+
+// Client → server, the answer to an Offer: the codec the client encodes
+// its updates with (and accepts on the downlink, subject to
+// broadcast-safety) and whether it will attach trace context.
+struct SelectMsg {
+  std::string codec;
+  bool trace_context = false;
+};
+
 // Parameter-bearing encoders take an optional negotiated codec: nullptr (or
-// the identity codec) emits the legacy raw AFPM block — byte-identical to
-// the pre-codec wire — anything else emits an AFCZ container. The update
-// encoder additionally threads the client's error-feedback state for codecs
-// that use it. Decoders sniff the magic, so they need no codec argument.
+// the identity codec) emits a raw AFPM block, the on-disk checkpoint form;
+// anything else emits an AFCZ container. The update encoder additionally
+// threads the client's error-feedback state for codecs that use it.
+// Decoders sniff the magic, so they need no codec argument.
 //
 // The Append*Frame forms serialize header + payload straight into `out`
 // (typically a connection's write buffer) with no intermediate Frame or
@@ -245,26 +208,14 @@ ClientUpdateMsg DecodeClientUpdate(Frame&&) = delete;  // see above
 Frame EncodeAck(const AckMsg& msg);
 AckMsg DecodeAck(const FrameView& frame);
 
-Frame EncodeCodecOffer(const CodecOfferMsg& msg);
-CodecOfferMsg DecodeCodecOffer(const FrameView& frame);
-
-Frame EncodeCodecSelect(const CodecSelectMsg& msg);
-CodecSelectMsg DecodeCodecSelect(const FrameView& frame);
-
-Frame EncodeTraceOffer(const TraceOfferMsg& msg);
-TraceOfferMsg DecodeTraceOffer(const FrameView& frame);
-
-Frame EncodeTraceSelect(const TraceSelectMsg& msg);
-TraceSelectMsg DecodeTraceSelect(const FrameView& frame);
-
-Frame EncodeShmOffer(const ShmOfferMsg& msg);
-ShmOfferMsg DecodeShmOffer(const FrameView& frame);
-
-Frame EncodeShmSelect(const ShmSelectMsg& msg);
-ShmSelectMsg DecodeShmSelect(const FrameView& frame);
-
 Frame EncodeHello(const HelloMsg& msg);
 HelloMsg DecodeHello(const FrameView& frame);
+
+Frame EncodeOffer(const OfferMsg& msg);
+OfferMsg DecodeOffer(const FrameView& frame);
+
+Frame EncodeSelect(const SelectMsg& msg);
+SelectMsg DecodeSelect(const FrameView& frame);
 
 Frame MakeShutdownFrame();
 

@@ -1,6 +1,5 @@
-// fd-readiness reactor: the half of the old poll()-era server that cared
-// about sockets, split out so sessions (net/session.h) never touch an fd and
-// transports register uniformly.
+// fd-readiness reactor: the socket half of the server, kept apart so
+// sessions (net/session.h) never touch an fd.
 //
 // One epoll set holds every registered fd plus the wakeup pipe, so a single
 // Wait() sleeps on everything and dispatch cost is O(ready), not

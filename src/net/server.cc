@@ -40,8 +40,6 @@ struct Server::Conn : Session::Host {
   Server* server = nullptr;
   util::UniqueFd fd;
   std::unique_ptr<Session> session;
-  bool shm_active = false;  // data frames ride the rings, not the fd
-  std::unique_ptr<ShmSegment> shm;
   // Reusable receive scratch: bytes land at the end, frames decode as
   // views from `in_offset`, and the consumed prefix is reclaimed once per
   // read batch — no per-frame payload vector is ever built.
@@ -85,32 +83,6 @@ struct Server::Conn : Session::Host {
 
   void OnDuplicateUpdate(int, std::uint64_t) override {
     server->duplicates_.Increment();
-  }
-
-  std::string CreateShmSegment(int client_id,
-                               std::size_t ring_bytes) override {
-    // A segment that fails to create (shm mount full, name collision) is
-    // not fatal: no offer is sent and the connection stays plain TCP.
-    try {
-      const std::string name = MakeShmName(server->port(), client_id);
-      shm = ShmSegment::Create(name, ring_bytes);
-      return name;
-    } catch (const util::CheckError& e) {
-      AF_LOG(kWarn) << "net: shm segment for client " << client_id
-                    << " failed (" << e.what() << "); staying on TCP";
-      shm.reset();
-      return std::string();
-    }
-  }
-
-  void SetShmActive(bool active) override {
-    if (active && shm != nullptr) {
-      shm_active = true;
-      AF_LOG(kInfo) << "net: client " << session->primary_id()
-                    << " switched to shm rings (" << shm->name() << ")";
-    } else {
-      shm.reset();  // creator unlinks; connection stays TCP
-    }
   }
 };
 
@@ -163,8 +135,7 @@ void Server::AcceptPending() {
     conn->session = std::make_unique<Session>(
         conn.get(),
         Session::Options{options_.advertised_codecs,
-                         options_.offer_trace_context, options_.offer_shm,
-                         options_.shm_ring_bytes});
+                         options_.offer_trace_context});
     reactor_.Add(fd);
     conns_.emplace(fd, std::move(conn));
   }
@@ -176,12 +147,8 @@ bool Server::ReadConn(Conn& conn) {
     const ssize_t n = ::recv(conn.fd.get(), chunk, sizeof(chunk), 0);
     if (n == 0) {
       // EOF — but a peer that closes right after its last send may leave
-      // complete frames buffered (in `conn.in`, and on the uplink ring for
-      // an shm connection). Deliver those before honoring the close.
-      if (conn.shm_active && conn.shm != nullptr) {
-        while (conn.shm->uplink().ReadSome(conn.in) > 0) {
-        }
-      }
+      // complete frames buffered in `conn.in`. Deliver those before
+      // honoring the close.
       ProcessInbuf(conn);
       return false;
     }
@@ -261,24 +228,6 @@ void Server::QueueFrame(Conn& conn, const Frame& frame) {
 }
 
 bool Server::WriteConn(Conn& conn) {
-  if (conn.shm_active) {
-    // Data frames ride the downlink ring; the reactor never blocks on it.
-    // A full ring just leaves the remainder for the next tick — worker
-    // death is detected through the still-open socket, not here.
-    while (conn.out_offset < conn.out.size()) {
-      const std::size_t n = conn.shm->downlink().WriteSome(
-          std::span<const std::uint8_t>(conn.out).subspan(conn.out_offset));
-      if (n == 0) {
-        return true;
-      }
-      conn.out_offset += n;
-      bytes_out_.Increment(static_cast<std::uint64_t>(n));
-      conn.last_progress_ns = NowNs();
-    }
-    conn.out.clear();
-    conn.out_offset = 0;
-    return true;
-  }
   while (conn.out_offset < conn.out.size()) {
     const ssize_t n =
         ::send(conn.fd.get(), conn.out.data() + conn.out_offset,
@@ -299,11 +248,7 @@ bool Server::WriteConn(Conn& conn) {
 }
 
 void Server::UpdateWriteInterest(Conn& conn) {
-  // Shm connections flush through DrainShmConns each tick; the socket
-  // carries no data frames, so it never needs write readiness.
-  const bool want =
-      !conn.shm_active && conn.out_offset < conn.out.size();
-  reactor_.SetWantWrite(conn.fd.get(), want);
+  reactor_.SetWantWrite(conn.fd.get(), conn.out_offset < conn.out.size());
 }
 
 void Server::CloseConn(Conn& conn, const char* reason) {
@@ -327,12 +272,6 @@ void Server::CloseConn(Conn& conn, const char* reason) {
 void Server::PollOnce(int timeout_ms) {
   AF_TRACE_SPAN("net.server.poll");
   const auto tick_start = Clock::now();
-
-  // Rings have no fd, so the reactor cannot wake for them: while any shm
-  // connection is live the tick must not sleep long.
-  if (HasActiveShm() && timeout_ms > 1) {
-    timeout_ms = 1;
-  }
 
   events_.clear();
   reactor_.Wait(timeout_ms, &events_);
@@ -400,47 +339,10 @@ void Server::PollOnce(int timeout_ms) {
     }
   }
 
-  DrainShmConns();
-
   tick_us_.Record(
       std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
                                                             tick_start)
           .count());
-}
-
-void Server::DrainShmConns() {
-  // Collect first: CloseConn mutates conns_ mid-iteration otherwise.
-  std::vector<Conn*> shm_conns;
-  for (const auto& [fd, conn] : conns_) {
-    if (conn->shm_active) {
-      shm_conns.push_back(conn.get());
-    }
-  }
-  for (Conn* conn : shm_conns) {
-    const std::size_t n = conn->shm->uplink().ReadSome(conn->in);
-    if (n > 0) {
-      bytes_in_.Increment(static_cast<std::uint64_t>(n));
-      conn->last_progress_ns = NowNs();
-      if (!ProcessInbuf(*conn)) {
-        CloseConn(*conn, "peer closed or malformed stream");
-        continue;
-      }
-    }
-    // Flush anything the frames above queued (acks) plus any broadcast
-    // bytes a previously full ring left behind.
-    if (!WriteConn(*conn)) {
-      CloseConn(*conn, "write failed");
-    }
-  }
-}
-
-bool Server::HasActiveShm() const {
-  for (const auto& [fd, conn] : conns_) {
-    if (conn->shm_active) {
-      return true;
-    }
-  }
-  return false;
 }
 
 bool Server::SendTo(int client_id, const Frame& frame) {
@@ -533,16 +435,6 @@ const compress::Codec* Server::ClientCodec(int client_id) const {
 bool Server::ClientTraceContext(int client_id) const {
   auto it = by_client_.find(client_id);
   return it != by_client_.end() && it->second->session->trace_context();
-}
-
-bool Server::ClientUsesShm(int client_id) const {
-  auto it = by_client_.find(client_id);
-  return it != by_client_.end() && it->second->shm_active;
-}
-
-bool Server::IsMultiplexed(int client_id) const {
-  auto it = by_client_.find(client_id);
-  return it != by_client_.end() && it->second->session->multiplexed();
 }
 
 }  // namespace net

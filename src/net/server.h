@@ -11,12 +11,12 @@
 //
 // Scale: every connection sits in the reactor's one epoll set, so a tick
 // costs O(ready fds), not O(connections) — tens of thousands of concurrent
-// connections are sustained by one loop. A connection may be *multiplexed*:
-// a kHello frame binds many client ids (a virtual-client pool) to one
-// socket, and broadcasts to those ids carry a trailing AFVC client-id block
-// so the pool can demux. Protocol behavior — handshake ordering, codec/
-// trace/shm negotiation, (client_id, job_index)-keyed update dedup with
-// re-acks, eviction policy — lives in net/session.h.
+// connections are sustained by one loop. A connection's Hello binds one
+// client id (a thread-per-client worker) or many (a virtual-client pool);
+// every broadcast names its client id, so a pool can demux. Protocol
+// behavior — handshake ordering, codec/trace negotiation,
+// (client_id, job_index)-keyed update dedup with re-acks, eviction
+// policy — lives in net/session.h.
 #pragma once
 
 #include <cstdint>
@@ -28,7 +28,6 @@
 
 #include "net/frame.h"
 #include "net/reactor.h"
-#include "net/shm_ring.h"
 #include "net/socket.h"
 #include "obs/metrics.h"
 
@@ -43,21 +42,12 @@ struct ServerOptions {
   // A connection with a partially received frame or unflushed writes older
   // than this is considered dead.
   int io_timeout_ms = 10000;
-  // Codec names offered to each client after its hello (preference order).
-  // Empty → no CodecOffer is sent and the handshake is the legacy two-step.
-  // "identity" is always acceptable in a CodecSelect even when not listed.
+  // Codec names the Offer lists (preference order; may be empty).
+  // "identity" is always acceptable in a Select even when not listed.
   std::vector<std::string> advertised_codecs;
-  // Offer trace-context propagation (a TraceOffer after the hello); clients
-  // answer with a TraceSelect saying whether they will attach AFTC blocks.
-  // Off → no offer, wire identical to before trace propagation existed.
+  // Whether the Offer offers trace-context propagation; clients answer in
+  // their Select whether they will attach AFTC blocks.
   bool offer_trace_context = false;
-  // Offer a shared-memory ring segment to each client after its hello
-  // (--transport=shm). A client that maps it moves data frames onto the
-  // rings; one that declines — or a segment that fails to create — stays on
-  // plain TCP. The socket remains open as the liveness signal either way.
-  // Multiplexed (kHello) sessions are never offered a segment.
-  bool offer_shm = false;
-  std::size_t shm_ring_bytes = kShmDefaultRingBytes;
 };
 
 class Server {
@@ -101,30 +91,22 @@ class Server {
   bool WaitForClients(std::size_t count, int timeout_ms);
 
   // Drops the client's connection (e.g. job deadline exceeded). Fires the
-  // disconnect handler. On a multiplexed connection this evicts every
-  // client id bound to it — the pool behind the socket is one peer.
+  // disconnect handler for every client id bound to that connection — a
+  // pool behind one socket is one peer.
   void Evict(int client_id, const char* reason);
 
   bool IsConnected(int client_id) const;
   std::size_t ConnectedCount() const { return by_client_.size(); }
 
-  // The codec the client picked during negotiation; nullptr when the
-  // handshake was legacy (no offer) or the client chose identity. The
-  // driver uses this to encode downlink broadcasts the client can decode.
+  // The codec the client picked during negotiation; nullptr when it chose
+  // identity. The driver uses this to encode downlink broadcasts the client
+  // can decode.
   const compress::Codec* ClientCodec(int client_id) const;
 
   // Whether the client accepted trace-context propagation during its
   // handshake. The driver only attaches AFTC blocks to broadcasts for
   // clients that did.
   bool ClientTraceContext(int client_id) const;
-
-  // Whether the client's connection negotiated (and activated) the
-  // shared-memory rings; false for plain-TCP clients and unknown ids.
-  bool ClientUsesShm(int client_id) const;
-
-  // Whether the client rides a multiplexed (kHello) session. Broadcasts to
-  // such clients must carry the AFVC client-id block so the pool can demux.
-  bool IsMultiplexed(int client_id) const;
 
  private:
   struct Conn;
@@ -139,15 +121,10 @@ class Server {
   // Decodes every complete frame in `conn.in` into the session; returns
   // false when the connection must close.
   bool ProcessInbuf(Conn& conn);
-  // Attempts to write pending bytes (socket or downlink ring); returns
-  // false on a dead socket.
+  // Attempts to write pending bytes; returns false on a dead socket.
   bool WriteConn(Conn& conn);
   // Syncs the reactor's write interest with the connection's outbox.
   void UpdateWriteInterest(Conn& conn);
-  // Drains every shm connection's uplink ring (the rings have no fd for
-  // the reactor to watch); called each tick.
-  void DrainShmConns();
-  bool HasActiveShm() const;
   void CloseConn(Conn& conn, const char* reason);
 
   ServerOptions options_;

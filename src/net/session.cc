@@ -1,13 +1,27 @@
 #include "net/session.h"
 
-#include <limits>
-
 #include "compress/codec.h"
 #include "util/check.h"
 #include "util/logging.h"
 #include "util/registry.h"
 
 namespace net {
+
+SelectMsg AnswerOffer(const OfferMsg& offer, bool trace_context) {
+  SelectMsg select{"identity", offer.trace_context && trace_context};
+  for (const std::string& name : offer.codecs) {
+    if (compress::Has(name)) {
+      select.codec = name;
+      break;
+    }
+  }
+  return select;
+}
+
+const compress::Codec* SelectedCodec(const std::string& name) {
+  const compress::Codec& codec = compress::Get(name);
+  return compress::IsIdentity(codec) ? nullptr : &codec;
+}
 
 Session::Session(Host* host, Options options)
     : host_(host), options_(std::move(options)) {
@@ -16,76 +30,47 @@ Session::Session(Host* host, Options options)
 
 bool Session::HandleFrame(const FrameView& frame) {
   if (!identified()) {
-    if (frame.type == MessageType::kAck) {
-      return HandleHelloAck(frame);
-    }
     if (frame.type == MessageType::kHello) {
       return HandleHello(frame);
     }
     AF_LOG(kWarn) << "net: connection sent " << MessageTypeName(frame.type)
-                  << " before handshake; closing";
+                  << " before its hello; closing";
     return false;
   }
   if (!handshake_complete_) {
-    return HandleNegotiation(frame);
+    if (frame.type == MessageType::kSelect) {
+      return HandleSelect(frame);
+    }
+    AF_LOG(kWarn) << "net: client " << primary_id() << " sent "
+                  << MessageTypeName(frame.type)
+                  << " before its select; closing";
+    return false;
   }
   switch (frame.type) {
     case MessageType::kClientUpdate:
       return HandleClientUpdate(frame);
-    case MessageType::kAck:
-      return true;  // stray receipt; harmless
     case MessageType::kShutdown:
       return false;  // client says goodbye
-    case MessageType::kCodecSelect:
-    case MessageType::kTraceSelect:
-    case MessageType::kShmSelect:
-      return true;  // repeated select after negotiation; harmless
-    case MessageType::kHello:
-      AF_LOG(kWarn) << "net: client " << primary_id()
-                    << " sent a second hello; closing";
-      return false;
-    case MessageType::kModelBroadcast:
-    case MessageType::kCodecOffer:
-    case MessageType::kTraceOffer:
-    case MessageType::kShmOffer:
-      AF_LOG(kWarn) << "net: client " << primary_id()
-                    << " sent a server-only frame; closing";
+    default:
+      AF_LOG(kWarn) << "net: client " << primary_id() << " sent "
+                    << MessageTypeName(frame.type)
+                    << " after its handshake; closing";
       return false;
   }
-  return false;
-}
-
-bool Session::HandleHelloAck(const FrameView& frame) {
-  const AckMsg hello = DecodeAck(frame);
-  // client_id is int everywhere downstream; a value that truncates (or
-  // lands on the <0 "no id yet" sentinel) would let one connection
-  // register twice and leave a dangling binding on close.
-  if (hello.value >
-      static_cast<std::uint64_t>(std::numeric_limits<int>::max())) {
-    AF_LOG(kWarn) << "net: handshake declared unrepresentable client id "
-                  << hello.value << "; closing";
-    return false;
-  }
-  const int client_id = static_cast<int>(hello.value);
-  if (!host_->BindClient(client_id)) {
-    return false;
-  }
-  client_ids_.push_back(client_id);
-  owned_ids_.insert(client_id);
-  BeginNegotiation();
-  return true;
 }
 
 bool Session::HandleHello(const FrameView& frame) {
   const HelloMsg hello = DecodeHello(frame);
   if (hello.client_ids.empty()) {
-    AF_LOG(kWarn) << "net: multiplexed hello with no client ids; closing";
+    AF_LOG(kWarn) << "net: hello with no client ids; closing";
     return false;
   }
   for (const std::int32_t id : hello.client_ids) {
+    // -1 is the "no id yet" sentinel downstream; any negative id could let
+    // one connection register twice and leave a dangling binding on close.
     if (id < 0) {
-      AF_LOG(kWarn) << "net: multiplexed hello declared negative client id "
-                    << id << "; closing";
+      AF_LOG(kWarn) << "net: hello declared negative client id " << id
+                    << "; closing";
       return false;
     }
     // Bind incrementally so a mid-hello failure still leaves client_ids_
@@ -96,78 +81,32 @@ bool Session::HandleHello(const FrameView& frame) {
     client_ids_.push_back(static_cast<int>(id));
     owned_ids_.insert(static_cast<int>(id));
   }
-  multiplexed_ = true;
-  BeginNegotiation();
+  // The handshake completes (and the host's connect notification fires)
+  // only once the select arrives, so the driver never broadcasts before it
+  // knows the downlink codec and whether the peer wants trace context.
+  host_->SendFrame(EncodeOffer(
+      {options_.advertised_codecs, options_.offer_trace_context}));
   return true;
 }
 
-void Session::BeginNegotiation() {
-  // Negotiation rounds: the handshake completes (and the host's connect
-  // notification fires) only once every offered extension's select arrives,
-  // so the driver never broadcasts before it knows the downlink codec or
-  // whether the peer understands trace context.
-  if (!options_.advertised_codecs.empty()) {
-    host_->SendFrame(EncodeCodecOffer({options_.advertised_codecs}));
-    awaiting_codec_select_ = true;
+bool Session::HandleSelect(const FrameView& frame) {
+  const SelectMsg select = DecodeSelect(frame);
+  const std::string key = util::CanonicalName(select.codec);
+  bool offered = key == "identity";
+  for (const std::string& name : options_.advertised_codecs) {
+    offered = offered || util::CanonicalName(name) == key;
   }
-  if (options_.offer_trace_context) {
-    host_->SendFrame(EncodeTraceOffer({}));
-    awaiting_trace_select_ = true;
+  if (!offered || !compress::Has(select.codec)) {
+    AF_LOG(kWarn) << "net: client " << primary_id()
+                  << " selected unavailable codec '" << select.codec
+                  << "'; closing";
+    return false;
   }
-  // Shm rings are per-connection-pair: a multiplexed session carries too
-  // many clients for one ring, so the offer is skipped and the connection
-  // stays on its byte transport.
-  if (options_.offer_shm && !multiplexed_) {
-    const std::string name =
-        host_->CreateShmSegment(primary_id(), options_.shm_ring_bytes);
-    if (!name.empty()) {
-      host_->SendFrame(EncodeShmOffer(
-          {name, static_cast<std::uint64_t>(options_.shm_ring_bytes)}));
-      awaiting_shm_select_ = true;
-    }
-  }
-  MaybeCompleteHandshake();
-}
-
-bool Session::HandleNegotiation(const FrameView& frame) {
-  // Negotiation in flight: only the selects we are waiting on are
-  // acceptable (in any order).
-  if (frame.type == MessageType::kCodecSelect && awaiting_codec_select_) {
-    const CodecSelectMsg select = DecodeCodecSelect(frame);
-    const std::string key = util::CanonicalName(select.codec);
-    bool offered = key == "identity";
-    for (const std::string& name : options_.advertised_codecs) {
-      offered = offered || util::CanonicalName(name) == key;
-    }
-    if (!offered || !compress::Has(select.codec)) {
-      AF_LOG(kWarn) << "net: client " << primary_id()
-                    << " selected unavailable codec '" << select.codec
-                    << "'; closing";
-      return false;
-    }
-    const compress::Codec& codec = compress::Get(select.codec);
-    codec_ = compress::IsIdentity(codec) ? nullptr : &codec;
-    awaiting_codec_select_ = false;
-    MaybeCompleteHandshake();
-    return true;
-  }
-  if (frame.type == MessageType::kTraceSelect && awaiting_trace_select_) {
-    trace_context_ = DecodeTraceSelect(frame).enabled;
-    awaiting_trace_select_ = false;
-    MaybeCompleteHandshake();
-    return true;
-  }
-  if (frame.type == MessageType::kShmSelect && awaiting_shm_select_) {
-    const bool enabled = DecodeShmSelect(frame).enabled;
-    awaiting_shm_select_ = false;
-    host_->SetShmActive(enabled);
-    MaybeCompleteHandshake();
-    return true;
-  }
-  AF_LOG(kWarn) << "net: client " << primary_id() << " sent "
-                << MessageTypeName(frame.type)
-                << " before negotiation finished; closing";
-  return false;
+  codec_ = SelectedCodec(select.codec);
+  trace_context_ = options_.offer_trace_context && select.trace_context;
+  handshake_complete_ = true;
+  host_->OnHandshakeComplete();
+  return true;
 }
 
 bool Session::HandleClientUpdate(const FrameView& frame) {
@@ -188,15 +127,6 @@ bool Session::HandleClientUpdate(const FrameView& frame) {
   }
   host_->OnUpdate(msg.client_id, std::move(msg));
   return true;
-}
-
-void Session::MaybeCompleteHandshake() {
-  if (awaiting_codec_select_ || awaiting_trace_select_ ||
-      awaiting_shm_select_) {
-    return;
-  }
-  handshake_complete_ = true;
-  host_->OnHandshakeComplete();
 }
 
 }  // namespace net

@@ -1,29 +1,23 @@
-// Transport-agnostic protocol session: the half of the poll()-era server
-// that cared about the protocol — handshake, codec/trace/shm negotiation,
-// update dedup, eviction policy — split out from fd readiness (which lives
-// in net/reactor.h). A Session never touches a socket: its owner (the Host)
-// feeds it decoded frames and carries out the side effects it requests, so
-// the same state machine serves TCP sockets, shm rings, and any future
-// transport that can deliver frames.
+// Transport-agnostic protocol session: handshake, codec and trace
+// negotiation, update dedup and eviction policy, split out from fd
+// readiness (which lives in net/reactor.h). A Session never touches a
+// socket: its owner (the Host) feeds it decoded frames and carries out the
+// side effects it requests.
 //
 // Per-session state machine:
 //
-//   accepted ──Ack{client_id}──────▶ identified (single client)
-//        │  └─Hello{ids…}──────────▶ identified (multiplexed)
-//        │                              │ offered selects, any order
-//        │                              ▼
-//        │                          handshake complete ──ClientUpdate*──▶ …
+//   accepted ──Hello{ids…}──▶ identified ──(server sends Offer)
+//        │                       │
+//        │                       └──Select──▶ handshake complete
+//        │                                       └──ClientUpdate*──▶ …
 //        └─ anything else / malformed ──▶ closed (HandleFrame → false)
 //
-// Multiplexed sessions carry many client ids over one connection (the
-// virtual-client pool's hello). Negotiation is identical except that no shm
-// segment is offered — the rings are per-connection-pair and a mux session
-// multiplexes too many peers for one ring to be a win. Update dedup is
-// keyed (client_id, job_index) so id streams on a shared session cannot
-// collide.
+// A session carries every client id its Hello named: one for a
+// thread-per-client worker, a slice of the fleet for a virtual-client pool
+// connection. Update dedup is keyed (client_id, job_index) so id streams on
+// a shared session cannot collide.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <set>
 #include <string>
@@ -38,17 +32,24 @@ class Codec;
 
 namespace net {
 
+// The client half of the handshake, shared by every client kind: picks the
+// first offered codec this build knows (identity when none is), and
+// attaches trace context only when the server offers it and the client
+// wants it.
+SelectMsg AnswerOffer(const OfferMsg& offer, bool trace_context);
+
+// The codec a Select names, in the form the encoders take: nullptr for
+// identity. Throws util::CheckError for a name this build does not know.
+const compress::Codec* SelectedCodec(const std::string& name);
+
 class Session {
  public:
   struct Options {
-    // Codec names offered after the hello (preference order). Empty → no
-    // CodecOffer, legacy two-step handshake.
+    // Codec names offered after the hello (preference order). "identity"
+    // is always acceptable in a Select even when not listed.
     std::vector<std::string> advertised_codecs;
-    // Offer trace-context propagation (TraceOffer after the hello).
+    // Offer trace-context propagation.
     bool offer_trace_context = false;
-    // Offer a shared-memory ring to single-client sessions.
-    bool offer_shm = false;
-    std::size_t shm_ring_bytes = 0;
   };
 
   // The transport owning this session. All calls arrive synchronously from
@@ -61,19 +62,12 @@ class Session {
     // Registers `client_id` as reachable through this session. false →
     // the id is already bound elsewhere; the session closes.
     virtual bool BindClient(int client_id) = 0;
-    // The handshake (hello + every offered select) just finished.
+    // The handshake (hello, offer, select) just finished.
     virtual void OnHandshakeComplete() = 0;
     // First delivery of an update (duplicates are acked but suppressed).
     virtual void OnUpdate(int client_id, ClientUpdateMsg msg) = 0;
     virtual void OnDuplicateUpdate(int client_id,
                                    std::uint64_t job_index) = 0;
-    // Creates the per-connection shm segment; returns its name, or "" when
-    // creation failed / is unsupported (no offer is sent, stays TCP).
-    virtual std::string CreateShmSegment(int client_id,
-                                         std::size_t ring_bytes) = 0;
-    // The peer's ShmSelect arrived: activate the rings or discard the
-    // segment and stay on the byte transport.
-    virtual void SetShmActive(bool active) = 0;
   };
 
   Session(Host* host, Options options);
@@ -86,41 +80,30 @@ class Session {
 
   bool identified() const { return !client_ids_.empty(); }
   bool handshake_complete() const { return handshake_complete_; }
-  bool multiplexed() const { return multiplexed_; }
-  // Bound ids in hello order (one entry for single-client sessions).
+  // Bound ids in hello order.
   const std::vector<int>& client_ids() const { return client_ids_; }
   int primary_id() const {
     return client_ids_.empty() ? -1 : client_ids_.front();
   }
-  // Negotiated codec; nullptr = identity / legacy handshake.
+  // Negotiated codec; nullptr = identity.
   const compress::Codec* codec() const { return codec_; }
   bool trace_context() const { return trace_context_; }
-  bool shm_offered() const { return awaiting_shm_select_; }
 
  private:
-  bool HandleHelloAck(const FrameView& frame);
   bool HandleHello(const FrameView& frame);
-  bool HandleNegotiation(const FrameView& frame);
+  bool HandleSelect(const FrameView& frame);
   bool HandleClientUpdate(const FrameView& frame);
-  // Sends the offers this session's options call for; completes the
-  // handshake immediately when there are none.
-  void BeginNegotiation();
-  void MaybeCompleteHandshake();
   bool Owns(int client_id) const { return owned_ids_.count(client_id) > 0; }
 
   Host* host_;
   Options options_;
   std::vector<int> client_ids_;
   std::set<int> owned_ids_;
-  bool multiplexed_ = false;
   bool handshake_complete_ = false;
-  bool awaiting_codec_select_ = false;
-  bool awaiting_trace_select_ = false;
-  bool awaiting_shm_select_ = false;
   bool trace_context_ = false;
   const compress::Codec* codec_ = nullptr;
-  // Dedup of resent updates, keyed (client_id, job_index) so multiplexed
-  // id streams cannot collide.
+  // Dedup of resent updates, keyed (client_id, job_index) so id streams on
+  // one session cannot collide.
   std::set<std::pair<int, std::uint64_t>> delivered_;
 };
 

@@ -13,6 +13,7 @@
 #include <chrono>
 #include <thread>
 
+#include "net/session.h"
 #include "obs/metrics.h"
 #include "util/check.h"
 #include "util/rng.h"
@@ -224,6 +225,17 @@ Connection ConnectWithRetry(std::uint16_t port, const RetryConfig& retry,
   AF_CHECK(false) << "connect to 127.0.0.1:" << port << " failed after "
                   << retry.max_attempts << " attempts: " << last_error;
   return Connection();
+}
+
+SelectMsg ClientHandshake(Connection& conn, const HelloMsg& hello,
+                          bool trace_context, int timeout_ms) {
+  conn.SendFrame(EncodeHello(hello), timeout_ms);
+  Frame offer;
+  AF_CHECK(conn.RecvFrame(&offer, timeout_ms))
+      << "server closed the connection before its offer";
+  const SelectMsg select = AnswerOffer(DecodeOffer(offer), trace_context);
+  conn.SendFrame(EncodeSelect(select), timeout_ms);
+  return select;
 }
 
 }  // namespace net

@@ -103,4 +103,11 @@ class Listener {
 Connection ConnectWithRetry(std::uint16_t port, const RetryConfig& retry,
                             std::uint64_t seed);
 
+// The client side of the handshake on a blocking connection: sends `hello`,
+// waits up to `timeout_ms` for the server's Offer and answers it with
+// AnswerOffer(offer, trace_context) (net/session.h). Returns the Select it
+// sent. Throws util::CheckError on a timeout, EOF, or any other frame.
+SelectMsg ClientHandshake(Connection& conn, const HelloMsg& hello,
+                          bool trace_context, int timeout_ms);
+
 }  // namespace net

@@ -242,7 +242,7 @@ TEST(CodecTest, ErrorFeedbackConservesSignalAcrossRounds) {
 }
 
 TEST(CodecTest, ParseAnyParamsAcceptsRawAfpmAndTracksOffsets) {
-  // Legacy payloads (and identity-written checkpoints) are raw AFPM blocks;
+  // Identity payloads (and identity-written checkpoints) are raw AFPM blocks;
   // compressed ones are AFCZ. A stream may mix both back-to-back.
   const std::vector<float> first{1.0f, -2.0f};
   const std::vector<float> second{0.5f, 0.5f, 0.5f};

@@ -141,7 +141,7 @@ std::vector<std::vector<float>> RunVirtualFleet(int kClients, int waves,
           static_cast<std::uint64_t>(wave) * static_cast<std::uint64_t>(kClients) +
           static_cast<std::uint64_t>(c);
       msg.params = base;
-      msg.client_id = c;  // mux sessions demux broadcasts by AFVC block
+      msg.client_id = c;  // the pool demuxes broadcasts by client id
       EXPECT_TRUE(server.SendTo(c, net::EncodeModelBroadcast(msg)));
     }
     const auto deadline =

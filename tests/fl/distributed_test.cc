@@ -50,50 +50,6 @@ TEST(DistributedTest, TcpMatchesInprocUnderLieAttack) {
   EXPECT_EQ(tcp.evicted_clients, 0u);
 }
 
-TEST(DistributedTest, ShmMatchesInprocAndTcpBitExactly) {
-  // The shm transport moves the exact same frame bytes over mmap'd rings,
-  // so all three transports must produce one SimulationResult, bit for bit.
-  ExperimentConfig config = SmallConfig(67);
-  config.attack = attacks::AttackKind::kLie;
-  config.defense = DefenseKind::kAsyncFilter;
-  config.sim.rounds = 6;
-
-  config.transport = TransportKind::kInproc;
-  const SimulationResult inproc = RunExperiment(config);
-
-  config.transport = TransportKind::kTcp;
-  const SimulationResult tcp = RunExperiment(config);
-
-  config.transport = TransportKind::kShm;
-  const SimulationResult shm = RunExperiment(config);
-
-  ASSERT_EQ(shm.rounds.size(), inproc.rounds.size());
-  EXPECT_EQ(shm.final_model, inproc.final_model);  // bit-exact
-  EXPECT_EQ(shm.final_model, tcp.final_model);     // bit-exact
-  EXPECT_NEAR(shm.final_accuracy, inproc.final_accuracy, 0.0);
-  EXPECT_EQ(shm.evicted_clients, 0u);
-}
-
-TEST(DistributedTest, ShmWithCodecMatchesInproc) {
-  // Compressed frames ride the rings unchanged too: shm + fp16 must equal
-  // inproc + fp16 (which mirrors the wire's lossy round trip).
-  ExperimentConfig config = SmallConfig(68);
-  config.attack = attacks::AttackKind::kLie;
-  config.defense = DefenseKind::kAsyncFilter;
-  config.sim.rounds = 5;
-  config.compress = "fp16";
-
-  config.transport = TransportKind::kInproc;
-  const SimulationResult inproc = RunExperiment(config);
-
-  config.transport = TransportKind::kShm;
-  const SimulationResult shm = RunExperiment(config);
-
-  ASSERT_EQ(shm.rounds.size(), inproc.rounds.size());
-  EXPECT_EQ(shm.final_model, inproc.final_model);  // bit-exact
-  EXPECT_EQ(shm.evicted_clients, 0u);
-}
-
 TEST(DistributedTest, SurvivesFaultyWireWithSameResult) {
   // Drops are resent, duplicates deduped, delays absorbed — none of them may
   // change what the server aggregates.
@@ -144,8 +100,8 @@ TEST(DistributedTest, CompressedTcpMatchesInprocBitExactly) {
 }
 
 TEST(DistributedTest, IdentityCompressionLeavesResultUnchanged) {
-  // --compress=identity must be a true no-op: same bytes on the wire as a
-  // legacy run, same simulation result as no --compress at all.
+  // --compress=identity must be a true no-op: same raw AFPM bytes on the
+  // wire as a run with no codec, same simulation result.
   ExperimentConfig config = SmallConfig(65);
   config.sim.rounds = 5;
   config.attack = attacks::AttackKind::kLie;
@@ -258,22 +214,34 @@ TEST(DistributedTest, VirtualPoolTcpMatchesInprocBitExactly) {
 TEST(DistributedTest, VirtualPoolMatchesRealFleetBitExactly) {
   // The virtual pool multiplexes many clients per connection and trains on
   // a few workers; updates still land by job position, so the fleet shape
-  // must never leak into the result.
-  ExperimentConfig config = SmallConfig(70);
-  config.attack = attacks::AttackKind::kLie;
-  config.defense = DefenseKind::kAsyncFilter;
-  config.sim.rounds = 5;
-  config.transport = TransportKind::kTcp;
-  const SimulationResult real_fleet = RunExperiment(config);
+  // must never leak into the result. Both client kinds answer the same
+  // Offer/Select handshake: once with nothing to negotiate, once with a
+  // codec and trace context on.
+  struct Extensions {
+    const char* codec;
+    bool trace_context;
+  };
+  for (const Extensions& ext : {Extensions{"", false},
+                                Extensions{"fp16", true}}) {
+    SCOPED_TRACE(ext.codec);
+    ExperimentConfig config = SmallConfig(70);
+    config.attack = attacks::AttackKind::kLie;
+    config.defense = DefenseKind::kAsyncFilter;
+    config.sim.rounds = 5;
+    config.transport = TransportKind::kTcp;
+    config.compress = ext.codec;
+    config.net.trace_context = ext.trace_context;
+    const SimulationResult real_fleet = RunExperiment(config);
 
-  config.pool.mode = ClientPoolSpec::Mode::kVirtual;
-  config.pool.connections = 5;
-  config.pool.workers = 2;
-  const SimulationResult pooled = RunExperiment(config);
+    config.pool.mode = ClientPoolSpec::Mode::kVirtual;
+    config.pool.connections = 5;
+    config.pool.workers = 2;
+    const SimulationResult pooled = RunExperiment(config);
 
-  EXPECT_EQ(pooled.final_model, real_fleet.final_model);  // bit-exact
-  EXPECT_EQ(real_fleet.evicted_clients, 0u);
-  EXPECT_EQ(pooled.evicted_clients, 0u);
+    EXPECT_EQ(pooled.final_model, real_fleet.final_model);  // bit-exact
+    EXPECT_EQ(real_fleet.evicted_clients, 0u);
+    EXPECT_EQ(pooled.evicted_clients, 0u);
+  }
 }
 
 TEST(DistributedTest, CompletesWhenFifthOfClientsDieMidRun) {

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "compress/codec.h"
+#include "nn/serialize.h"
 #include "util/check.h"
 
 namespace net {
@@ -23,6 +24,7 @@ TEST(FrameTest, RoundTripsEveryMessageType) {
   broadcast.round = 7;
   broadcast.job_index = 42;
   broadcast.params = {1.5f, -2.0f, 0.0f, 3.25f};
+  broadcast.client_id = 13;
 
   ClientUpdateMsg update;
   update.client_id = 13;
@@ -32,10 +34,14 @@ TEST(FrameTest, RoundTripsEveryMessageType) {
   update.delta = {-0.5f, 0.25f};
 
   AckMsg ack{99};
+  const HelloMsg hello{{0, 13, 0x7FFFFFFF}};
+  const OfferMsg offer{{"fp16"}, true};
+  const SelectMsg select{"fp16", true};
 
   for (const Frame& frame :
        {EncodeModelBroadcast(broadcast), EncodeClientUpdate(update),
-        EncodeAck(ack), MakeShutdownFrame()}) {
+        EncodeAck(ack), MakeShutdownFrame(), EncodeHello(hello),
+        EncodeOffer(offer), EncodeSelect(select)}) {
     const std::vector<std::uint8_t> bytes = EncodeFrame(frame);
     Frame decoded;
     ASSERT_EQ(DecodeFrame(bytes, &decoded), bytes.size());
@@ -51,6 +57,7 @@ TEST(FrameTest, RoundTripsEveryMessageType) {
   EXPECT_EQ(b2.round, broadcast.round);
   EXPECT_EQ(b2.job_index, broadcast.job_index);
   EXPECT_EQ(b2.params, broadcast.params);
+  EXPECT_EQ(b2.client_id, broadcast.client_id);
 
   const Frame update_frame = EncodeClientUpdate(update);
   const ClientUpdateMsg u2 = DecodeClientUpdate(update_frame);
@@ -61,6 +68,7 @@ TEST(FrameTest, RoundTripsEveryMessageType) {
   EXPECT_EQ(u2.delta, update.delta);
 
   EXPECT_EQ(DecodeAck(EncodeAck(ack)).value, ack.value);
+  EXPECT_EQ(DecodeHello(EncodeHello(hello)).client_ids, hello.client_ids);
 }
 
 TEST(FrameTest, PartialFrameConsumesNothing) {
@@ -113,6 +121,11 @@ TEST(FrameTest, TypedDecoderRejectsTruncatedPayload) {
        .delta = {1.0f, 2.0f, 3.0f}});
   frame.payload.resize(frame.payload.size() / 2);
   EXPECT_THROW(DecodeClientUpdate(frame), util::CheckError);
+
+  // A hello count larger than the payload must throw before allocating.
+  Frame hello = EncodeHello({{1, 2}});
+  hello.payload[0] = 0xFF;
+  EXPECT_THROW(DecodeHello(hello), util::CheckError);
 }
 
 TEST(FrameTest, TypedDecoderRejectsTrailingBytes) {
@@ -128,19 +141,48 @@ TEST(FrameTest, EmptyModelRoundTrips) {
 }
 
 TEST(FrameTest, CodecOfferAndSelectRoundTrip) {
-  const CodecOfferMsg offer =
-      DecodeCodecOffer(EncodeCodecOffer({{"fp16", "int8", "identity"}}));
+  const OfferMsg offer =
+      DecodeOffer(EncodeOffer({{"fp16", "int8", "identity"}, false}));
   EXPECT_EQ(offer.codecs,
             (std::vector<std::string>{"fp16", "int8", "identity"}));
-  EXPECT_TRUE(DecodeCodecOffer(EncodeCodecOffer({})).codecs.empty());
-  EXPECT_EQ(DecodeCodecSelect(EncodeCodecSelect({"topk-delta"})).codec,
+  EXPECT_TRUE(DecodeOffer(EncodeOffer({})).codecs.empty());
+  EXPECT_EQ(DecodeSelect(EncodeSelect({"topk-delta", false})).codec,
             "topk-delta");
 }
 
 TEST(FrameTest, TraceOfferAndSelectRoundTrip) {
-  DecodeTraceOffer(EncodeTraceOffer({}));  // empty payload, must not throw
-  EXPECT_TRUE(DecodeTraceSelect(EncodeTraceSelect({true})).enabled);
-  EXPECT_FALSE(DecodeTraceSelect(EncodeTraceSelect({false})).enabled);
+  EXPECT_TRUE(DecodeOffer(EncodeOffer({{}, true})).trace_context);
+  EXPECT_FALSE(DecodeOffer(EncodeOffer({{}, false})).trace_context);
+  EXPECT_TRUE(DecodeSelect(EncodeSelect({"identity", true})).trace_context);
+  EXPECT_FALSE(DecodeSelect(EncodeSelect({"identity", false})).trace_context);
+}
+
+TEST(FrameTest, BroadcastCarriesClientIdRightAfterParams) {
+  // Fixed layout: u64 round, u64 job_index, the parameter block, i32
+  // client_id, then the optional AFTC block. The id sits where it does so
+  // an AFCZ container still starts at payload offset 16.
+  ModelBroadcastMsg msg{.round = 1, .job_index = 2, .params = {3.0f, 4.0f},
+                        .client_id = 0x01020304};
+  const Frame untraced = EncodeModelBroadcast(msg);
+  const std::size_t id_at = 16 + nn::FlatParamsWireSize(msg.params.size());
+  ASSERT_EQ(untraced.payload.size(), id_at + 4);
+  std::int32_t id = 0;
+  std::memcpy(&id, untraced.payload.data() + id_at, sizeof(id));
+  EXPECT_EQ(id, msg.client_id);
+
+  msg.trace_id = 0x99ull;
+  const Frame traced = EncodeModelBroadcast(msg);
+  EXPECT_EQ(std::vector<std::uint8_t>(traced.payload.begin(),
+                                      traced.payload.begin() + id_at + 4),
+            untraced.payload);
+  const ModelBroadcastMsg decoded = DecodeModelBroadcast(traced);
+  EXPECT_EQ(decoded.client_id, msg.client_id);
+  EXPECT_EQ(decoded.trace_id, msg.trace_id);
+
+  // A payload cut inside the id field is truncated, not "no id".
+  Frame cut = untraced;
+  cut.payload.resize(id_at + 2);
+  EXPECT_THROW(DecodeModelBroadcast(cut), util::CheckError);
 }
 
 TEST(FrameTest, TraceContextRoundTripsOnBroadcastAndUpdate) {
@@ -172,8 +214,8 @@ TEST(FrameTest, TraceContextRoundTripsOnBroadcastAndUpdate) {
 }
 
 TEST(FrameTest, UntracedMessagesStayByteIdenticalToLegacy) {
-  // trace_id == 0 must not grow the payload by a single byte: legacy peers
-  // and untraced runs see the exact pre-trace wire format.
+  // trace_id == 0 must not grow the payload by a single byte: an untraced
+  // run sends no AFTC block at all.
   ModelBroadcastMsg broadcast{.round = 1, .job_index = 2,
                               .params = {3.0f, 4.0f}};
   const Frame untraced = EncodeModelBroadcast(broadcast);
@@ -203,14 +245,14 @@ TEST(FrameTest, TrailingGarbageStillThrowsWithTraceBlocksInPlay) {
 }
 
 TEST(FrameTest, IdentityCodecProducesLegacyBytes) {
-  // The null codec and the identity codec must emit the exact pre-codec
-  // wire format, so a mixed fleet interoperates frame-for-frame.
+  // The null codec and the identity codec must emit the same raw AFPM
+  // block, the on-disk checkpoint form.
   const ModelBroadcastMsg msg{.round = 3, .job_index = 9,
                               .params = {1.0f, -2.0f, 0.5f}};
-  const Frame legacy = EncodeModelBroadcast(msg);
+  const Frame raw = EncodeModelBroadcast(msg);
   const Frame identity =
       EncodeModelBroadcast(msg, &compress::Get("identity"));
-  EXPECT_EQ(identity.payload, legacy.payload);
+  EXPECT_EQ(identity.payload, raw.payload);
 }
 
 TEST(FrameTest, CompressedBroadcastRoundTrips) {

@@ -270,7 +270,10 @@ TEST(ReactorSoakTest, ThousandConnectionsAcceptEvictReconnect) {
   auto connect_client = [&server](int id) {
     Connection conn = ConnectWithRetry(server.port(), FastRetry(),
                                        0x50A7 + static_cast<uint64_t>(id));
-    conn.SendFrame(EncodeAck({static_cast<std::uint64_t>(id)}), 1000);
+    // "identity" is always acceptable, so the Select rides right behind the
+    // Hello; the server's Offer is skipped on read below.
+    conn.SendFrame(EncodeHello({{id}}), 1000);
+    conn.SendFrame(EncodeSelect({"identity", false}), 1000);
     return conn;
   };
 
@@ -323,6 +326,7 @@ TEST(ReactorSoakTest, ThousandConnectionsAcceptEvictReconnect) {
     msg.round = 1;
     msg.job_index = static_cast<std::uint64_t>(id);
     msg.params = {1.0f, 2.0f, 3.0f};
+    msg.client_id = id;
     ASSERT_TRUE(server.SendTo(id, EncodeModelBroadcast(msg)));
     server.Flush(5000);
     Frame frame;
@@ -330,7 +334,8 @@ TEST(ReactorSoakTest, ThousandConnectionsAcceptEvictReconnect) {
     for (int tick = 0; tick < 200 && !got; ++tick) {
       server.PollOnce(1);
       got = clients[static_cast<std::size_t>(id)].TryRecvFrame(&frame, 5) ==
-            Connection::RecvStatus::kFrame;
+                Connection::RecvStatus::kFrame &&
+            frame.type == MessageType::kModelBroadcast;
     }
     ASSERT_TRUE(got) << "broadcast never reached client " << id;
     EXPECT_EQ(DecodeModelBroadcast(frame).job_index,

@@ -85,12 +85,15 @@ TEST(SocketTest, FrameRoundTripOverLoopback) {
     Connection server_side(listener.Accept());
     Frame frame;
     ASSERT_TRUE(server_side.RecvFrame(&frame, 2000));
-    const AckMsg hello = DecodeAck(frame);
-    server_side.SendFrame(EncodeAck({hello.value + 1}), 2000);
+    const HelloMsg hello = DecodeHello(frame);
+    ASSERT_EQ(hello.client_ids.size(), 1u);
+    server_side.SendFrame(
+        EncodeAck({static_cast<std::uint64_t>(hello.client_ids[0]) + 1}),
+        2000);
   });
 
   Connection client = ConnectWithRetry(listener.port(), RetryConfig{}, 3);
-  client.SendFrame(EncodeAck({41}), 2000);
+  client.SendFrame(EncodeHello({{41}}), 2000);
   Frame reply;
   ASSERT_TRUE(client.RecvFrame(&reply, 2000));
   EXPECT_EQ(DecodeAck(reply).value, 42u);
@@ -157,7 +160,7 @@ TEST(ServerTest, HandshakeUpdateAckAndDedup) {
   std::atomic<int> acks_received{0};
   std::thread client_thread([&acks_received, port = server.port()] {
     Connection conn = ConnectWithRetry(port, RetryConfig{}, 3);
-    conn.SendFrame(EncodeAck({7}), 2000);  // hello: client_id = 7
+    ClientHandshake(conn, {{7}}, false, 2000);
     ClientUpdateMsg update;
     update.client_id = 7;
     update.job_index = 1;
@@ -197,7 +200,7 @@ TEST(ServerTest, EvictFiresDisconnectHandler) {
 
   std::thread client_thread([port = server.port()] {
     Connection conn = ConnectWithRetry(port, RetryConfig{}, 3);
-    conn.SendFrame(EncodeAck({3}), 2000);
+    ClientHandshake(conn, {{3}}, false, 2000);
     Frame frame;  // wait for the server to cut us off
     while (conn.TryRecvFrame(&frame, 100) != Connection::RecvStatus::kEof) {
     }
@@ -219,13 +222,14 @@ TEST(ServerTest, CodecNegotiationCompletesHandshake) {
   std::atomic<bool> got_offer{false};
   std::thread client_thread([&got_offer, port = server.port()] {
     Connection conn = ConnectWithRetry(port, RetryConfig{}, 3);
-    conn.SendFrame(EncodeAck({9}), 2000);  // hello
+    conn.SendFrame(EncodeHello({{9}}), 2000);
     Frame frame;
     EXPECT_TRUE(conn.RecvFrame(&frame, 5000));
-    const CodecOfferMsg offer = DecodeCodecOffer(frame);
+    const OfferMsg offer = DecodeOffer(frame);
     EXPECT_EQ(offer.codecs, std::vector<std::string>{"fp16"});
+    EXPECT_FALSE(offer.trace_context);
     got_offer = true;
-    conn.SendFrame(EncodeCodecSelect({"fp16"}), 2000);
+    conn.SendFrame(EncodeSelect({"fp16", false}), 2000);
     // Stay connected until the server has seen the select and the test has
     // asserted; the eviction below is our cue to leave.
     while (conn.TryRecvFrame(&frame, 100) != Connection::RecvStatus::kEof) {
@@ -249,16 +253,16 @@ TEST(ServerTest, IdentitySelectionIsAlwaysAcceptedAndMapsToNull) {
 
   std::thread client_thread([port = server.port()] {
     Connection conn = ConnectWithRetry(port, RetryConfig{}, 3);
-    conn.SendFrame(EncodeAck({2}), 2000);
+    conn.SendFrame(EncodeHello({{2}}), 2000);
     Frame frame;
     EXPECT_TRUE(conn.RecvFrame(&frame, 5000));  // the offer
-    conn.SendFrame(EncodeCodecSelect({"identity"}), 2000);
+    conn.SendFrame(EncodeSelect({"identity", false}), 2000);
     while (conn.TryRecvFrame(&frame, 100) != Connection::RecvStatus::kEof) {
     }
   });
 
   ASSERT_TRUE(server.WaitForClients(1, 5000));
-  EXPECT_EQ(server.ClientCodec(2), nullptr);  // null = legacy AFPM payloads
+  EXPECT_EQ(server.ClientCodec(2), nullptr);  // null = raw AFPM payloads
   server.Evict(2, "test done");
   client_thread.join();
 }
@@ -274,7 +278,7 @@ TEST(ServerTest, MalformedCompressedUpdateEvictsClientNotServer) {
   std::thread bad_client([port = server.port()] {
     try {
       Connection conn = ConnectWithRetry(port, RetryConfig{}, 3);
-      conn.SendFrame(EncodeAck({4}), 2000);
+      ClientHandshake(conn, {{4}}, false, 2000);
       Frame frame = EncodeClientUpdate(
           {.client_id = 4, .job_index = 0, .base_round = 0, .num_samples = 8,
            .delta = {1.0f, 2.0f, 3.0f, 4.0f}},
@@ -312,7 +316,7 @@ TEST(ServerTest, MalformedCompressedUpdateEvictsClientNotServer) {
   std::thread good_client([port = server.port()] {
     try {
       Connection conn = ConnectWithRetry(port, RetryConfig{}, 3);
-      conn.SendFrame(EncodeAck({5}), 2000);
+      ClientHandshake(conn, {{5}}, false, 2000);
       conn.SendFrame(EncodeClientUpdate({.client_id = 5, .job_index = 7,
                                          .num_samples = 8, .delta = {0.5f}},
                                         &compress::Get("fp16")),
@@ -340,7 +344,7 @@ TEST(ServerTest, MalformedHelloClosesConnection) {
   Server server(ServerOptions{});
   std::thread client_thread([port = server.port()] {
     Connection conn = ConnectWithRetry(port, RetryConfig{}, 3);
-    // First frame must be an Ack hello; a ClientUpdate is a protocol error.
+    // First frame must be a Hello; a ClientUpdate is a protocol error.
     conn.SendFrame(EncodeClientUpdate({.client_id = 1, .job_index = 0,
                                        .num_samples = 1, .delta = {}}),
                    2000);
