@@ -7,11 +7,18 @@
 // expected to collapse toward FedBuff-level (or worse) accuracy: a poisoned
 // update is far from *every* group estimate, so the ratio washes the signal
 // out and the 3-means split becomes arbitrary.
+//
+//   bench_ablation_score_norm [--seed=7] [--rounds=18] [population flags]
+//
+// Takes the fl::RuntimeOptions population flags (--clients, --buffer, …)
+// with the paper-table defaults and 18 rounds; writes
+// ablation_score_norm.csv to the working directory.
 #include <cstdio>
 
-#include "bench_common.h"
 #include "core/async_filter.h"
+#include "fl/runtime_options.h"
 #include "util/csv.h"
+#include "util/flags.h"
 #include "util/table.h"
 
 namespace {
@@ -27,7 +34,19 @@ std::function<std::unique_ptr<defense::Defense>()> FilterWith(
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) try {
+  util::FlagParser flags(argc, argv);
+  std::vector<std::string> known = {"seed"};
+  const auto& runtime_flags = fl::RuntimeOptions::FlagNames();
+  known.insert(known.end(), runtime_flags.begin(), runtime_flags.end());
+  flags.RejectUnknown(known);
+  const std::uint64_t seed = flags.GetUint64("seed", 7);
+  fl::RuntimeOptions defaults;
+  defaults.rounds = 18;
+  const fl::RuntimeOptions runtime =
+      fl::RuntimeOptions::FromFlags(flags, seed, defaults);
+  runtime.Validate();
+
   const struct {
     const char* name;
     core::ScoreNormalization normalization;
@@ -48,7 +67,8 @@ int main() {
     std::vector<std::string> row{variant.name};
     for (auto attack : attack_grid) {
       fl::ExperimentConfig config =
-          bench::StandardConfig(data::Profile::kFashionMnist);
+          fl::MakeDefaultConfig(data::Profile::kFashionMnist, seed);
+      runtime.ApplyTo(&config);
       config.attack = attack;
       config.defense_factory = FilterWith(variant.normalization);
       double percent = fl::RunExperiment(config).final_accuracy * 100.0;
@@ -63,4 +83,7 @@ int main() {
   std::printf("%s", table.Render().c_str());
   std::printf("CSV written to ablation_score_norm.csv\n");
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 1;
 }

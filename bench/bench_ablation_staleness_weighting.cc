@@ -3,13 +3,33 @@
 // bench justifies instantiating them as samples·s(τ) with
 // s(τ) = 1/√(1+τ): without a discount, stale updates whip the global model
 // around on the Adam-driven workloads, hurting *every* method equally.
+//
+//   bench_ablation_staleness_weighting [--seed=7] [--rounds=18]
+//                                      [population flags]
+//
+// Takes the fl::RuntimeOptions population flags (--clients, --buffer, …)
+// with the paper-table defaults and 18 rounds; writes
+// ablation_staleness_weighting.csv to the working directory.
 #include <cstdio>
 
-#include "bench_common.h"
+#include "fl/runtime_options.h"
 #include "util/csv.h"
+#include "util/flags.h"
 #include "util/table.h"
 
-int main() {
+int main(int argc, char** argv) try {
+  util::FlagParser flags(argc, argv);
+  std::vector<std::string> known = {"seed"};
+  const auto& runtime_flags = fl::RuntimeOptions::FlagNames();
+  known.insert(known.end(), runtime_flags.begin(), runtime_flags.end());
+  flags.RejectUnknown(known);
+  const std::uint64_t seed = flags.GetUint64("seed", 7);
+  fl::RuntimeOptions defaults;
+  defaults.rounds = 18;
+  const fl::RuntimeOptions runtime =
+      fl::RuntimeOptions::FromFlags(flags, seed, defaults);
+  runtime.Validate();
+
   const struct {
     const char* name;
     defense::StalenessWeightingConfig config;
@@ -31,7 +51,8 @@ int main() {
     std::vector<std::string> row{variant.name};
     for (bool attacked : {false, true}) {
       fl::ExperimentConfig config =
-          bench::StandardConfig(data::Profile::kFashionMnist);
+          fl::MakeDefaultConfig(data::Profile::kFashionMnist, seed);
+      runtime.ApplyTo(&config);
       config.sim.staleness_weighting = variant.config;
       config.attack = attacked ? attacks::AttackKind::kGd
                                : attacks::AttackKind::kNone;
@@ -48,4 +69,7 @@ int main() {
   std::printf("%s", table.Render().c_str());
   std::printf("CSV written to ablation_staleness_weighting.csv\n");
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 1;
 }

@@ -12,15 +12,21 @@
 //      the own-group centre growing from Fig. 3 to Fig. 4.
 // The raw 2-D embeddings are written to fig3_tsne_iid.csv /
 // fig4_tsne_noniid.csv for plotting.
+//
+//   bench_fig3_fig4_tsne [--seed=7] [--rounds=10] [population flags]
+//
+// Takes the fl::RuntimeOptions flags with this study's own defaults: 60
+// clients, none malicious, buffer 24, Dirichlet 0.01 for Fig. 4, 10 rounds.
 #include <array>
 #include <cmath>
 #include <cstdio>
 #include <map>
 
-#include "bench_common.h"
 #include "cluster/tsne.h"
+#include "fl/runtime_options.h"
 #include "stats/vec_ops.h"
 #include "util/csv.h"
+#include "util/flags.h"
 #include "util/rng.h"
 
 namespace {
@@ -32,19 +38,14 @@ struct StudyResult {
   std::size_t staleness_levels = 0;
 };
 
-StudyResult RunStudy(bool iid, const std::string& csv_name) {
-  // Observation-study setting (§4.2), scaled like every bench: the paper
-  // uses 500 clients / buffer 150; we keep the 30% ratio.
+StudyResult RunStudy(const fl::RuntimeOptions& runtime, std::uint64_t seed,
+                     bool iid, const std::string& csv_name) {
   fl::ExperimentConfig config =
-      bench::StandardConfig(data::Profile::kMnist);
-  config.num_clients = 60;
-  config.num_malicious = 0;
-  config.sim.buffer_goal = 24;
+      fl::MakeDefaultConfig(data::Profile::kMnist, seed);
+  runtime.ApplyTo(&config);
   config.iid = iid;
-  config.dirichlet_alpha = 0.01;
   config.attack = attacks::AttackKind::kNone;
   config.defense = fl::DefenseKind::kFedBuff;
-  config.sim.rounds = bench::ScaledRounds(10);
 
   // Collect the buffered updates of the last few aggregation rounds.
   std::vector<std::vector<float>> updates;
@@ -64,7 +65,7 @@ StudyResult RunStudy(bool iid, const std::string& csv_name) {
   });
 
   // Embed with t-SNE and write the scatter data.
-  util::RngFactory rngs(bench::BenchSeed());
+  util::RngFactory rngs(seed);
   auto rng = rngs.Stream("tsne");
   auto embedding = cluster::TsneEmbed(updates, rng);
   util::CsvWriter csv(csv_name);
@@ -108,10 +109,29 @@ StudyResult RunStudy(bool iid, const std::string& csv_name) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) try {
+  util::FlagParser flags(argc, argv);
+  std::vector<std::string> known = {"seed"};
+  const auto& runtime_flags = fl::RuntimeOptions::FlagNames();
+  known.insert(known.end(), runtime_flags.begin(), runtime_flags.end());
+  flags.RejectUnknown(known);
+  const std::uint64_t seed = flags.GetUint64("seed", 7);
+  // Observation-study setting (§4.2): the paper uses 500 clients / buffer
+  // 150; we keep the 30% ratio with no attackers.
+  fl::RuntimeOptions defaults;
+  defaults.clients = 60;
+  defaults.malicious = 0;
+  defaults.buffer = 24;
+  defaults.dirichlet = 0.01;
+  defaults.rounds = 10;
+  const fl::RuntimeOptions runtime =
+      fl::RuntimeOptions::FromFlags(flags, seed, defaults);
+  runtime.Validate();
+
   std::printf("== Fig. 3 / Fig. 4: t-SNE of local updates by staleness ==\n");
-  StudyResult iid = RunStudy(/*iid=*/true, "fig3_tsne_iid.csv");
-  StudyResult noniid = RunStudy(/*iid=*/false, "fig4_tsne_noniid.csv");
+  StudyResult iid = RunStudy(runtime, seed, /*iid=*/true, "fig3_tsne_iid.csv");
+  StudyResult noniid =
+      RunStudy(runtime, seed, /*iid=*/false, "fig4_tsne_noniid.csv");
 
   std::printf("Fig. 3 (IID):     %zu updates, %zu staleness levels, "
               "cohesion ratio %.3f, own-group spread %.3f\n",
@@ -132,4 +152,7 @@ int main() {
                                                              : "VIOLATED");
   std::printf("Embeddings written to fig3_tsne_iid.csv / fig4_tsne_noniid.csv\n");
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 1;
 }

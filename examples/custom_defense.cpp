@@ -10,7 +10,6 @@
 //   ./custom_defense [--seed=N]
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 
 #include "fl/experiment.h"
 #include "stats/vec_ops.h"
@@ -67,10 +66,9 @@ int main(int argc, char** argv) {
   try {
     flags.RejectUnknown({"seed"});
     if (!flags.positional().empty()) {
-      seed = std::strtoull(flags.positional()[0].c_str(), nullptr, 10);
+      seed = util::ParseUint64(flags.positional()[0], "seed");
     }
-    seed = static_cast<std::uint64_t>(
-        flags.GetInt("seed", static_cast<std::int64_t>(seed)));
+    seed = flags.GetUint64("seed", seed);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

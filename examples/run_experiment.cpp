@@ -10,8 +10,12 @@
 //   --attack      none | GD | LIE | min-max | min-sum | adaptive | label-flip
 //   --defense     fedbuff | fldetector | asyncfilter | asyncfilter2means |
 //                 krum | multikrum | trimmedmean | median | zeno | aflguard | nnm
+//   --seed            data, model and simulator seed               [7]
 //   --clients, --malicious, --buffer, --rounds, --staleness-limit,
-//   --dirichlet, --zipf, --seed, --gd-scale, --threads, --partition
+//   --dirichlet, --zipf, --gd-scale, --threads, --partition
+//                     population and schedule, parsed via fl::RuntimeOptions
+//                     [50, 10, 20, 20, 20, 0.1, 1.2, 1.5, 0 (all cores),
+//                      the profile's partition size]
 //   --trace FILE      per-round CSV        --summary FILE  run summary CSV
 //   --save-model FILE final global model checkpoint (AFPM binary)
 //   --quiet           suppress per-round output
@@ -89,23 +93,6 @@
 
 namespace {
 
-data::Profile ParseProfile(const std::string& name) {
-  if (name == "mnist") {
-    return data::Profile::kMnist;
-  }
-  if (name == "fashionmnist" || name == "fashion") {
-    return data::Profile::kFashionMnist;
-  }
-  if (name == "cifar10" || name == "cifar") {
-    return data::Profile::kCifar10;
-  }
-  if (name == "cinic10" || name == "cinic") {
-    return data::Profile::kCinic10;
-  }
-  AF_CHECK(false) << "unknown profile: " << name;
-  return data::Profile::kFashionMnist;
-}
-
 std::atomic<bool> g_stop{false};
 
 void HandleStopSignal(int /*signum*/) {
@@ -118,12 +105,10 @@ int main(int argc, char** argv) {
   util::FlagParser flags(argc, argv);
   try {
     std::vector<std::string> known = {
-        "profile", "attack", "defense", "clients", "malicious", "buffer",
-        "rounds", "staleness-limit", "dirichlet", "zipf", "seed", "gd-scale",
-        "threads", "partition", "trace", "summary", "save-model", "quiet",
-        "jsonl", "trace-out", "metrics-out", "log-level", "checkpoint",
-        "checkpoint-every", "resume", "summary-json", "list-defenses",
-        "list-codecs", "audit",
+        "profile", "attack", "defense", "seed", "trace", "summary",
+        "save-model", "quiet", "jsonl", "trace-out", "metrics-out",
+        "log-level", "checkpoint", "checkpoint-every", "resume",
+        "summary-json", "list-defenses", "list-codecs", "audit",
     };
     const auto& runtime_flags = fl::RuntimeOptions::FlagNames();
     known.insert(known.end(), runtime_flags.begin(), runtime_flags.end());
@@ -151,24 +136,18 @@ int main(int argc, char** argv) {
     }
 
     const data::Profile profile =
-        ParseProfile(flags.GetString("profile", "fashionmnist"));
-    const auto seed = static_cast<std::uint64_t>(flags.GetInt("seed", 7));
+        data::ParseProfile(flags.GetString("profile", "fashionmnist"));
+    const std::uint64_t seed = flags.GetUint64("seed", 7);
+    // The shared experiment surface: population, schedule, transport,
+    // faults, codec, pool and --metrics-port, range-checked and validated
+    // as a unit (negative counts, unknown codecs, virtual×faults
+    // conflicts, …) before dataset synthesis starts.
+    const fl::RuntimeOptions runtime =
+        fl::RuntimeOptions::FromFlags(flags, seed);
+    runtime.Validate();
 
     fl::ExperimentConfig config = fl::MakeDefaultConfig(profile, seed);
-    config.num_clients = static_cast<std::size_t>(flags.GetInt("clients", 50));
-    config.num_malicious =
-        static_cast<std::size_t>(flags.GetInt("malicious", 10));
-    config.partition_size = static_cast<std::size_t>(
-        flags.GetInt("partition", static_cast<std::int64_t>(config.partition_size)));
-    config.sim.buffer_goal =
-        static_cast<std::size_t>(flags.GetInt("buffer", 20));
-    config.sim.rounds = static_cast<std::size_t>(flags.GetInt("rounds", 20));
-    config.sim.staleness_limit =
-        static_cast<std::size_t>(flags.GetInt("staleness-limit", 20));
-    config.dirichlet_alpha = flags.GetDouble("dirichlet", 0.1);
-    config.sim.zipf_s = flags.GetDouble("zipf", 1.2);
-    config.gd_scale = flags.GetDouble("gd-scale", config.gd_scale);
-    config.threads = static_cast<std::size_t>(flags.GetInt("threads", 0));
+    runtime.ApplyTo(&config);
     config.attack = attacks::ParseAttackKind(flags.GetString("attack", "none"));
     // --defense resolves through the string-keyed defense registry, so any
     // self-registered defense is reachable without touching this file;
@@ -181,19 +160,10 @@ int main(int argc, char** argv) {
     config.defense_factory = [defense_name] {
       return defense::Make(defense_name);
     };
-    // The shared runtime surface: --transport/--fault-*/--compress/
-    // --metrics-port plus the virtual-pool and reactor knobs, validated as
-    // a unit (unknown codecs, virtual×faults conflicts, …) before dataset
-    // synthesis starts.
-    const fl::RuntimeOptions runtime =
-        fl::RuntimeOptions::FromFlags(flags, seed);
-    runtime.Validate();
-    runtime.ApplyTo(&config);
 
     if (flags.Has("checkpoint")) {
       config.checkpoint_path = flags.GetString("checkpoint", "");
-      config.checkpoint_every =
-          static_cast<std::size_t>(flags.GetInt("checkpoint-every", 5));
+      config.checkpoint_every = flags.GetUint64("checkpoint-every", 5);
       config.resume = flags.GetBool("resume", false);
       config.stop_flag = &g_stop;
       std::signal(SIGTERM, HandleStopSignal);

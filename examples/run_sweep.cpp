@@ -23,12 +23,15 @@
 //   --profiles LIST      comma-separated dataset profiles     [fashionmnist]
 //   --attacks LIST       comma-separated attack names         [none,GD]
 //   --defenses LIST      comma-separated defense names        [fedbuff,asyncfilter]
-//   --seeds LIST         comma-separated integer seeds        [1,2]
-//   --rounds, --clients, --malicious, --buffer, --threads     usual meanings
+//   --seeds LIST         comma-separated non-negative seeds   [1,2]
+//   --clients, --malicious, --partition, --buffer, --rounds,
+//   --staleness-limit, --dirichlet, --zipf, --gd-scale, --threads
+//                        population and schedule of every cell; same
+//                        parser and defaults as run_experiment
 //   --checkpoint-every N checkpoint cadence within a cell     [5]
 //   --quiet              suppress per-cell round output
 //
-// Runtime flags (shared fl::RuntimeOptions surface, applied to every cell):
+// Runtime flags (the rest of the shared fl::RuntimeOptions surface):
 //   --compress CODEC     update-compression codec (identity | fp16 | int8 |
 //                        topk-delta)                           [none]
 //   --transport KIND     inproc | tcp                          [inproc]
@@ -65,23 +68,6 @@ std::atomic<bool> g_stop{false};
 
 void HandleStopSignal(int /*signum*/) {
   g_stop.store(true, std::memory_order_relaxed);
-}
-
-data::Profile ParseProfile(const std::string& name) {
-  if (name == "mnist") {
-    return data::Profile::kMnist;
-  }
-  if (name == "fashionmnist" || name == "fashion") {
-    return data::Profile::kFashionMnist;
-  }
-  if (name == "cifar10" || name == "cifar") {
-    return data::Profile::kCifar10;
-  }
-  if (name == "cinic10" || name == "cinic") {
-    return data::Profile::kCinic10;
-  }
-  AF_CHECK(false) << "unknown profile: " << name;
-  return data::Profile::kFashionMnist;
 }
 
 std::vector<std::string> SplitList(const std::string& csv) {
@@ -132,20 +118,19 @@ int main(int argc, char** argv) {
   util::FlagParser flags(argc, argv);
   try {
     std::vector<std::string> known = {
-        "out", "profiles", "attacks", "defenses", "seeds", "rounds",
-        "clients", "malicious", "buffer", "threads", "checkpoint-every",
-        "quiet",
+        "out", "profiles", "attacks", "defenses", "seeds",
+        "checkpoint-every", "quiet",
     };
     const auto& runtime_flags = fl::RuntimeOptions::FlagNames();
     known.insert(known.end(), runtime_flags.begin(), runtime_flags.end());
     flags.RejectUnknown(known);
     const std::filesystem::path out_dir =
         flags.GetString("out", "sweep_out");
-    std::filesystem::create_directories(out_dir);
 
-    // The shared runtime surface (transport/faults/codec/pool), validated
-    // once and applied to every cell. Seed 0 here only feeds the fault
-    // injector default; each cell re-seeds it below.
+    // The shared experiment surface (population, schedule, transport,
+    // faults, codec, pool), validated once and applied to every cell. Seed
+    // 0 here only feeds the fault injector default; each cell re-seeds it
+    // below.
     fl::RuntimeOptions runtime = fl::RuntimeOptions::FromFlags(flags, 0);
     runtime.Validate();
 
@@ -166,7 +151,10 @@ int main(int argc, char** argv) {
         SplitList(flags.GetString("defenses", "fedbuff,asyncfilter"));
     std::vector<std::uint64_t> seeds;
     for (const std::string& s : SplitList(flags.GetString("seeds", "1,2"))) {
-      seeds.push_back(std::stoull(s));
+      seeds.push_back(util::ParseUint64(s, "seeds"));
+    }
+    for (const std::string& name : profiles) {
+      data::ParseProfile(name);  // unknown names fail before any cell runs
     }
     for (const std::string& name : defense_names) {
       AF_CHECK(defense::Registry::Global().Has(name))
@@ -185,6 +173,7 @@ int main(int argc, char** argv) {
         }
       }
     }
+    std::filesystem::create_directories(out_dir);
     std::printf("sweep: %zu cells → %s\n", grid.size(),
                 out_dir.string().c_str());
 
@@ -210,19 +199,10 @@ int main(int argc, char** argv) {
       }
 
       fl::ExperimentConfig config =
-          fl::MakeDefaultConfig(ParseProfile(cell.profile), cell.seed);
-      config.num_clients =
-          static_cast<std::size_t>(flags.GetInt("clients", 50));
-      config.num_malicious =
-          static_cast<std::size_t>(flags.GetInt("malicious", 10));
-      config.sim.buffer_goal =
-          static_cast<std::size_t>(flags.GetInt("buffer", 20));
-      config.sim.rounds =
-          static_cast<std::size_t>(flags.GetInt("rounds", 20));
-      config.threads = static_cast<std::size_t>(flags.GetInt("threads", 0));
-      config.attack = attacks::ParseAttackKind(cell.attack);
+          fl::MakeDefaultConfig(data::ParseProfile(cell.profile), cell.seed);
       runtime.net.faults.seed = cell.seed;  // reproducible per cell
       runtime.ApplyTo(&config);
+      config.attack = attacks::ParseAttackKind(cell.attack);
       const std::string defense_name = cell.defense;
       config.defense_factory = [defense_name] {
         return defense::Make(defense_name);
@@ -232,8 +212,7 @@ int main(int argc, char** argv) {
       // summary done-markers still make the sweep itself resumable.
       if (runtime.transport == fl::TransportKind::kInproc) {
         config.checkpoint_path = ckpt_path.string();
-        config.checkpoint_every =
-            static_cast<std::size_t>(flags.GetInt("checkpoint-every", 5));
+        config.checkpoint_every = flags.GetUint64("checkpoint-every", 5);
         config.resume = fl::CheckpointExists(ckpt_path.string());
       }
       config.stop_flag = &g_stop;

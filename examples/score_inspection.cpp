@@ -7,7 +7,6 @@
 //   ./score_inspection [--seed=N]
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 
 #include "core/staleness_groups.h"
 #include "core/suspicious_score.h"
@@ -20,10 +19,9 @@ int main(int argc, char** argv) {
   try {
     flags.RejectUnknown({"seed"});
     if (!flags.positional().empty()) {
-      seed = std::strtoull(flags.positional()[0].c_str(), nullptr, 10);
+      seed = util::ParseUint64(flags.positional()[0], "seed");
     }
-    seed = static_cast<std::uint64_t>(
-        flags.GetInt("seed", static_cast<std::int64_t>(seed)));
+    seed = flags.GetUint64("seed", seed);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

@@ -30,9 +30,10 @@ namespace core {
 // What to do with the middle 3-means band. The paper says the middle group
 // "is permitted to contribute to the aggregation at a later stage" and that
 // excluding honest non-IID clients costs noticeable accuracy; empirically
-// (bench_ablation_midband_policy) the middle band is dominated by honest
-// non-IID clients, so the default interprets "contribute" literally and
-// aggregates it, only excluding the attacker band. kDefer (re-enter the next
+// (the `midband` grid of tools/paper_tables.py) the middle band is
+// dominated by honest non-IID clients, so the default interprets
+// "contribute" literally and aggregates it, only excluding the attacker
+// band. kDefer (re-enter the next
 // buffer) and kReject are kept for the ablation study.
 enum class MidBandPolicy {
   kAccept,  // default: aggregate the mid band, reject only the top band

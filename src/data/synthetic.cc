@@ -101,6 +101,23 @@ const char* ProfileName(Profile profile) {
   return "?";
 }
 
+Profile ParseProfile(const std::string& name) {
+  if (name == "mnist") {
+    return Profile::kMnist;
+  }
+  if (name == "fashionmnist" || name == "fashion") {
+    return Profile::kFashionMnist;
+  }
+  if (name == "cifar10" || name == "cifar") {
+    return Profile::kCifar10;
+  }
+  if (name == "cinic10" || name == "cinic") {
+    return Profile::kCinic10;
+  }
+  AF_CHECK(false) << "unknown profile: " << name;
+  return Profile::kFashionMnist;
+}
+
 SyntheticGenerator::SyntheticGenerator(SyntheticSpec spec, std::uint64_t seed)
     : spec_(std::move(spec)), seed_(seed) {
   AF_CHECK_GT(spec_.num_classes, 0u);

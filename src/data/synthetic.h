@@ -36,6 +36,10 @@ SyntheticSpec MakeProfileSpec(Profile profile, std::size_t side = 12);
 
 const char* ProfileName(Profile profile);
 
+// The CLI spelling of a profile: mnist | fashionmnist (fashion) |
+// cifar10 (cifar) | cinic10 (cinic). Throws util::CheckError otherwise.
+Profile ParseProfile(const std::string& name);
+
 // Deterministic generator: the class/mode prototypes are fixed by
 // (spec, seed) at construction, so train and test draws — and every client's
 // partition — come from the same underlying distribution.

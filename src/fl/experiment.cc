@@ -345,15 +345,4 @@ SimulationResult RunExperiment(const ExperimentConfig& config,
   return stamp_wall(simulation->Run());
 }
 
-std::vector<double> RunRepeated(ExperimentConfig config,
-                                const std::vector<std::uint64_t>& seeds) {
-  std::vector<double> accuracies;
-  accuracies.reserve(seeds.size());
-  for (std::uint64_t seed : seeds) {
-    config.sim.seed = seed;
-    accuracies.push_back(RunExperiment(config).final_accuracy);
-  }
-  return accuracies;
-}
-
 }  // namespace fl

@@ -1,5 +1,5 @@
 // One-call experiment runner: dataset → partition → clients → attack →
-// defense → simulation. Every bench and example builds on this.
+// defense → simulation. Every CLI, study and example builds on this.
 #pragma once
 
 #include <atomic>
@@ -117,9 +117,5 @@ nn::ModelSpec ModelForProfile(const data::Profile profile,
 // aggregation buffer (Fig. 3/4 study).
 SimulationResult RunExperiment(const ExperimentConfig& config,
                                Simulation::BufferObserver observer = nullptr);
-
-// Convenience: run the same config across seeds; returns final accuracies.
-std::vector<double> RunRepeated(ExperimentConfig config,
-                                const std::vector<std::uint64_t>& seeds);
 
 }  // namespace fl

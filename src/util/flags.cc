@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
 #include <cstdlib>
 
 #include "util/check.h"
@@ -61,6 +62,12 @@ std::int64_t FlagParser::GetInt(const std::string& name,
   return value;
 }
 
+std::uint64_t FlagParser::GetUint64(const std::string& name,
+                                   std::uint64_t fallback) const {
+  auto it = values_.find(name);
+  return it == values_.end() ? fallback : ParseUint64(it->second, name);
+}
+
 double FlagParser::GetDouble(const std::string& name, double fallback) const {
   auto it = values_.find(name);
   if (it == values_.end()) {
@@ -111,6 +118,20 @@ void FlagParser::RejectUnknown(const std::vector<std::string>& known) const {
     }
   }
   AF_CHECK(unknown.empty()) << "unknown flag(s): " << unknown;
+}
+
+std::uint64_t ParseUint64(const std::string& text, const std::string& flag) {
+  const bool digits =
+      !text.empty() && std::all_of(text.begin(), text.end(), [](char c) {
+        return std::isdigit(static_cast<unsigned char>(c)) != 0;
+      });
+  AF_CHECK(digits) << "flag --" << flag
+                   << " is not a non-negative integer: " << text;
+  errno = 0;
+  const unsigned long long value = std::strtoull(text.c_str(), nullptr, 10);
+  AF_CHECK(errno != ERANGE) << "flag --" << flag << " is out of range: "
+                            << text;
+  return static_cast<std::uint64_t>(value);
 }
 
 }  // namespace util

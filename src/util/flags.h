@@ -23,6 +23,9 @@ class FlagParser {
   std::string GetString(const std::string& name,
                         const std::string& fallback) const;
   std::int64_t GetInt(const std::string& name, std::int64_t fallback) const;
+  // Decimal digits only: no sign, no suffix, no wrap past 2^64 - 1.
+  std::uint64_t GetUint64(const std::string& name,
+                          std::uint64_t fallback) const;
   double GetDouble(const std::string& name, double fallback) const;
   bool GetBool(const std::string& name, bool fallback) const;
 
@@ -40,5 +43,9 @@ class FlagParser {
   std::map<std::string, std::string> values_;
   std::vector<std::string> positional_;
 };
+
+// Parses `text` as GetUint64 does; `flag` names it in the error message.
+// For list-valued flags (e.g. --seeds=1,2,3) whose items are split first.
+std::uint64_t ParseUint64(const std::string& text, const std::string& flag);
 
 }  // namespace util

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "stats/vec_ops.h"
+#include "util/check.h"
 
 namespace data {
 namespace {
@@ -110,6 +111,15 @@ TEST(ProfileNameTest, AllNamed) {
   EXPECT_STREQ(ProfileName(Profile::kFashionMnist), "FashionMNIST");
   EXPECT_STREQ(ProfileName(Profile::kCifar10), "CIFAR-10");
   EXPECT_STREQ(ProfileName(Profile::kCinic10), "CINIC-10");
+}
+
+TEST(ParseProfileTest, CliNamesAndAliases) {
+  EXPECT_EQ(ParseProfile("mnist"), Profile::kMnist);
+  EXPECT_EQ(ParseProfile("fashionmnist"), Profile::kFashionMnist);
+  EXPECT_EQ(ParseProfile("fashion"), Profile::kFashionMnist);
+  EXPECT_EQ(ParseProfile("cifar10"), Profile::kCifar10);
+  EXPECT_EQ(ParseProfile("cinic"), Profile::kCinic10);
+  EXPECT_THROW(ParseProfile("MNIST"), util::CheckError);
 }
 
 }  // namespace

@@ -157,16 +157,6 @@ TEST(RunExperimentTest, StalenessWeightingIsConfigurable) {
   EXPECT_NE(none.final_model, sqrt_w.final_model);
 }
 
-TEST(RunRepeatedTest, OneAccuracyPerSeed) {
-  ExperimentConfig config = TinyConfig(26);
-  auto accuracies = RunRepeated(config, {1, 2, 3});
-  ASSERT_EQ(accuracies.size(), 3u);
-  for (double a : accuracies) {
-    EXPECT_GE(a, 0.0);
-    EXPECT_LE(a, 1.0);
-  }
-}
-
 TEST(RunExperimentTest, EvalEverySkipsIntermediateRounds) {
   ExperimentConfig config = TinyConfig(31);
   config.sim.rounds = 4;

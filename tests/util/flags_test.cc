@@ -67,6 +67,23 @@ TEST(FlagParserTest, NegativeNumbersParse) {
   EXPECT_DOUBLE_EQ(flags.GetDouble("scale", 0.0), -0.5);
 }
 
+TEST(FlagParserTest, Uint64ParsesFullRange) {
+  auto flags = Parse({"--seed=18446744073709551615", "--zero=0"});
+  EXPECT_EQ(flags.GetUint64("seed", 7), 18446744073709551615ull);
+  EXPECT_EQ(flags.GetUint64("zero", 7), 0u);
+  EXPECT_EQ(flags.GetUint64("missing", 7), 7u);
+}
+
+TEST(FlagParserTest, Uint64RejectsSignsSuffixesAndOverflow) {
+  // strtoull would wrap "-1" to 2^64 - 1 and read "7x" as 7.
+  for (const char* bad : {"-1", "7x", "+7", " 7", "", "1.0",
+                          "18446744073709551616"}) {
+    EXPECT_THROW(ParseUint64(bad, "seeds"), CheckError) << bad;
+  }
+  auto flags = Parse({"--seed=-1"});
+  EXPECT_THROW(flags.GetUint64("seed", 7), CheckError);
+}
+
 TEST(FlagParserTest, NamesListsAllFlags) {
   auto flags = Parse({"--a=1", "--b"});
   auto names = flags.Names();

@@ -1,13 +1,12 @@
 #!/usr/bin/env python3
 """Collect BENCH_*.json perf records into a bench trajectory.
 
-Every bench grid run writes a machine-readable `BENCH_<csv stem>.json`
-record next to its CSV (see docs/PERFORMANCE.md for the schema), but until
-now nothing gathered them: the bench trajectory stayed empty because
-records were produced and then thrown away. This tool appends one JSONL
-line per record to `bench_results/trajectory.jsonl`, stamped with enough
-provenance (collection time, optional git commit / CI run labels) to diff
-perf across commits.
+Every micro-bench run with `--out=BENCH_<name>.json` writes a
+machine-readable perf record (see docs/PERFORMANCE.md for the schemas).
+This tool appends one JSONL line per record to
+`bench_results/trajectory.jsonl`, stamped with enough provenance
+(collection time, optional git commit / CI run labels) to diff perf across
+commits.
 
 Appending rather than truncating is the point — rerunning after every
 bench run (or every CI perf job) grows one monotone trajectory file.
