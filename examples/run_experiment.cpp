@@ -1,9 +1,9 @@
 // General-purpose CLI runner: configure any experiment the library supports
-// without writing code, and export traces/checkpoints.
+// without writing code, and export its run record and checkpoints.
 //
 //   ./run_experiment --profile=fashionmnist --attack=GD --defense=asyncfilter
 //       --clients=50 --malicious=10 --rounds=20 --seed=7
-//       --trace=run.csv --summary=summary.csv --save-model=model.afpm
+//       --record=run.jsonl --save-model=model.afpm
 //
 // Flags (all optional):
 //   --profile     mnist | fashionmnist | cifar10 | cinic10   [fashionmnist]
@@ -16,7 +16,9 @@
 //                     population and schedule, parsed via fl::RuntimeOptions
 //                     [50, 10, 20, 20, 20, 0.1, 1.2, 1.5, 0 (all cores),
 //                      the profile's partition size]
-//   --trace FILE      per-round CSV        --summary FILE  run summary CSV
+//   --record FILE     the run record (fl/run_record.h): one JSONL stream with
+//                     a `run` line, an `update` line per update the defense
+//                     saw, a `round` line per round and a `summary` line
 //   --save-model FILE final global model checkpoint (AFPM binary)
 //   --quiet           suppress per-round output
 //
@@ -43,7 +45,6 @@
 //   --list-codecs     print every registered codec name and exit
 //
 // Observability (see docs/OBSERVABILITY.md):
-//   --jsonl FILE       per-round telemetry as JSON lines
 //   --trace-out FILE   Chrome trace-event JSON of the run's internal spans
 //                      (open in chrome://tracing or ui.perfetto.dev);
 //                      implicitly enables span collection; over tcp it also
@@ -54,16 +55,12 @@
 //   --metrics-port N   serve /metrics (Prometheus), /healthz, /spans over
 //                      HTTP on 127.0.0.1:N for the duration of the run
 //                      (0 = ephemeral; the bound port is printed)
-//   --audit FILE       defense-decision audit trail: one JSONL record per
-//                      update reaching the defense (verdict, score,
-//                      staleness, wire cost, latencies)
 //   --log-level LVL    trace | debug | info | warn | error
 //
 // Resumable runs (see docs/API.md "Checkpoints"):
 //   --checkpoint FILE        crash-safe simulation checkpoint path
 //   --checkpoint-every N     write it every N completed rounds   [5]
 //   --resume                 restore from --checkpoint if it exists
-//   --summary-json FILE      run summary as one JSON object
 //   --list-defenses          print every registered defense name and exit
 //
 // SIGTERM/SIGINT request a final checkpoint (when --checkpoint is set) and a
@@ -79,11 +76,9 @@
 #include "compress/codec.h"
 #include "defense/registry.h"
 #include "fl/experiment.h"
+#include "fl/run_record.h"
 #include "fl/runtime_options.h"
-#include "fl/telemetry.h"
-#include "fl/trace.h"
 #include "nn/serialize.h"
-#include "obs/audit.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -105,10 +100,9 @@ int main(int argc, char** argv) {
   util::FlagParser flags(argc, argv);
   try {
     std::vector<std::string> known = {
-        "profile", "attack", "defense", "seed", "trace", "summary",
-        "save-model", "quiet", "jsonl", "trace-out", "metrics-out",
-        "log-level", "checkpoint", "checkpoint-every", "resume",
-        "summary-json", "list-defenses", "list-codecs", "audit",
+        "profile", "attack", "defense", "seed", "record", "save-model",
+        "quiet", "trace-out", "metrics-out", "log-level", "checkpoint",
+        "checkpoint-every", "resume", "list-defenses", "list-codecs",
     };
     const auto& runtime_flags = fl::RuntimeOptions::FlagNames();
     known.insert(known.end(), runtime_flags.begin(), runtime_flags.end());
@@ -135,8 +129,10 @@ int main(int argc, char** argv) {
       obs::TraceRecorder::Global().SetEnabled(true);
     }
 
-    const data::Profile profile =
-        data::ParseProfile(flags.GetString("profile", "fashionmnist"));
+    const fl::RunLabels labels{flags.GetString("profile", "fashionmnist"),
+                               flags.GetString("attack", "none"),
+                               flags.GetString("defense", "asyncfilter")};
+    const data::Profile profile = data::ParseProfile(labels.profile);
     const std::uint64_t seed = flags.GetUint64("seed", 7);
     // The shared experiment surface: population, schedule, transport,
     // faults, codec, pool and --metrics-port, range-checked and validated
@@ -148,12 +144,11 @@ int main(int argc, char** argv) {
 
     fl::ExperimentConfig config = fl::MakeDefaultConfig(profile, seed);
     runtime.ApplyTo(&config);
-    config.attack = attacks::ParseAttackKind(flags.GetString("attack", "none"));
+    config.attack = attacks::ParseAttackKind(labels.attack);
     // --defense resolves through the string-keyed defense registry, so any
     // self-registered defense is reachable without touching this file;
     // unknown names fail fast (before dataset synthesis) with the full list.
-    const std::string defense_name =
-        flags.GetString("defense", "asyncfilter");
+    const std::string& defense_name = labels.defense;
     AF_CHECK(defense::Registry::Global().Has(defense_name))
         << "unknown --defense: " << defense_name
         << " (try --list-defenses)";
@@ -174,7 +169,7 @@ int main(int argc, char** argv) {
     // wire so client train spans and server defense spans share trace ids.
     config.net.trace_context = flags.Has("trace-out");
 
-    // Live observability plane: scrape endpoint + audit trail. Both are
+    // Live observability plane: scrape endpoint + run record. Both are
     // observation-only — results are bit-identical with them on or off.
     std::unique_ptr<obs::MetricsExporter> exporter;
     if (runtime.has_metrics_port) {
@@ -185,8 +180,11 @@ int main(int argc, char** argv) {
                   "(/healthz, /spans)\n",
                   static_cast<unsigned>(exporter->port()));
     }
-    if (flags.Has("audit")) {
-      obs::AuditTrail::Global().Open(flags.GetString("audit", ""));
+    fl::RunRecord& record = fl::RunRecord::Global();
+    const std::string record_path = flags.GetString("record", "");
+    if (flags.Has("record")) {
+      record.Open(record_path);
+      record.WriteRun(labels, config);
     }
 
     const bool quiet = flags.GetBool("quiet", false);
@@ -202,12 +200,10 @@ int main(int argc, char** argv) {
     }
 
     fl::SimulationResult result = fl::RunExperiment(config);
-    if (flags.Has("audit")) {
-      std::printf("audit trail (%llu records) written to %s\n",
-                  static_cast<unsigned long long>(
-                      obs::AuditTrail::Global().RecordCount()),
-                  flags.GetString("audit", "").c_str());
-      obs::AuditTrail::Global().Close();
+    if (record.enabled()) {
+      record.WriteResult(result);
+      record.Close();
+      std::printf("run record written to %s\n", record_path.c_str());
     }
     if (exporter != nullptr) {
       std::printf("metrics endpoint served %llu requests\n",
@@ -236,23 +232,6 @@ int main(int argc, char** argv) {
                   result.evicted_clients);
     }
 
-    if (flags.Has("trace")) {
-      fl::WriteRoundTraceCsv(result, flags.GetString("trace", ""));
-      std::printf("trace written to %s\n", flags.GetString("trace", "").c_str());
-    }
-    if (flags.Has("summary")) {
-      fl::WriteSummaryCsv(result, flags.GetString("summary", ""));
-    }
-    if (flags.Has("summary-json")) {
-      const std::string path = flags.GetString("summary-json", "");
-      fl::WriteRunSummaryJson(result, path);
-      std::printf("run summary written to %s\n", path.c_str());
-    }
-    if (flags.Has("jsonl")) {
-      fl::WriteRoundsJsonl(result, flags.GetString("jsonl", ""));
-      std::printf("round telemetry written to %s\n",
-                  flags.GetString("jsonl", "").c_str());
-    }
     if (flags.Has("trace-out")) {
       const std::string path = flags.GetString("trace-out", "");
       obs::TraceRecorder::Global().WriteChromeTrace(path);

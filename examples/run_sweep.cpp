@@ -7,16 +7,19 @@
 //               --seeds=1,2,3 --rounds=20 --clients=50 --malicious=10
 //
 // Per cell the driver writes into --out:
-//   <cell>.ckpt          crash-safe mid-run checkpoint (deleted on success)
-//   <cell>.summary.json  run summary — doubles as the cell's done-marker
-//   <cell>.row.{csv,jsonl}  one consolidated-results line each
+//   <cell>.ckpt    crash-safe mid-run checkpoint (deleted on success)
+//   <cell>.jsonl   the cell's run record (fl/run_record.h), written as
+//                  <cell>.jsonl.tmp and renamed after its `summary` line:
+//                  the rename is the cell's done-marker
 //
 // Resume semantics: rerunning the identical command skips cells whose
-// summary exists, restores half-finished cells from their checkpoint, and
-// only writes the consolidated results.csv / results.jsonl once every cell
-// has completed. SIGTERM/SIGINT checkpoint the in-flight cell and exit
-// cleanly; SIGKILL loses at most --checkpoint-every rounds of the in-flight
-// cell.
+// record exists, restores half-finished cells from their checkpoint, and
+// only writes the consolidated results.jsonl (every cell's `run` and
+// `summary` records, grid order) once every cell has completed. A resumed
+// cell's record holds `update` lines for the rounds run since the resume;
+// its `round` and `summary` lines cover the whole run. SIGTERM/SIGINT
+// checkpoint the in-flight cell and exit cleanly; SIGKILL loses at most
+// --checkpoint-every rounds of the in-flight cell.
 //
 // Flags:
 //   --out DIR            output directory                     [sweep_out]
@@ -56,8 +59,8 @@
 #include "defense/registry.h"
 #include "fl/checkpoint.h"
 #include "fl/experiment.h"
+#include "fl/run_record.h"
 #include "fl/runtime_options.h"
-#include "fl/telemetry.h"
 #include "obs/export.h"
 #include "util/check.h"
 #include "util/flags.h"
@@ -97,11 +100,22 @@ std::string Sanitize(const std::string& name) {
   return out;
 }
 
-void AppendFileTo(std::ofstream& out, const std::filesystem::path& path) {
+// Copies a finished cell record's `run` line (its first) and `summary` line
+// (its last) to `out`.
+void AppendRunAndSummary(std::ofstream& out,
+                         const std::filesystem::path& path) {
   std::ifstream in(path);
-  AF_CHECK(in.good()) << "sweep: missing per-cell row file " << path.string()
-                      << " (delete the cell's .summary.json to re-run it)";
-  out << in.rdbuf();
+  std::string run;
+  std::string summary;
+  std::getline(in, run);
+  for (std::string line; std::getline(in, line);) {
+    summary = std::move(line);
+  }
+  AF_CHECK(run.find("\"type\":\"run\"") != std::string::npos &&
+           summary.find("\"type\":\"summary\"") != std::string::npos)
+      << "sweep: " << path.string()
+      << " is not a finished run record (delete it to re-run the cell)";
+  out << run << '\n' << summary << '\n';
 }
 
 struct Cell {
@@ -184,12 +198,12 @@ int main(int argc, char** argv) {
     std::size_t skipped = 0;
     std::size_t completed = 0;
     bool interrupted = false;
+    fl::RunRecord& record = fl::RunRecord::Global();
     for (const Cell& cell : grid) {
-      const auto summary_path = out_dir / (cell.id + ".summary.json");
+      const auto record_path = out_dir / (cell.id + ".jsonl");
+      const auto partial_path = out_dir / (cell.id + ".jsonl.tmp");
       const auto ckpt_path = out_dir / (cell.id + ".ckpt");
-      const auto csv_row_path = out_dir / (cell.id + ".row.csv");
-      const auto jsonl_row_path = out_dir / (cell.id + ".row.jsonl");
-      if (std::filesystem::exists(summary_path)) {
+      if (std::filesystem::exists(record_path)) {
         ++skipped;
         continue;
       }
@@ -209,7 +223,7 @@ int main(int argc, char** argv) {
       };
       // Mid-run checkpointing is an inproc-only affordance: distributed
       // cells restart from scratch if the sweep dies mid-cell, but the
-      // summary done-markers still make the sweep itself resumable.
+      // record done-markers still make the sweep itself resumable.
       if (runtime.transport == fl::TransportKind::kInproc) {
         config.checkpoint_path = ckpt_path.string();
         config.checkpoint_every = flags.GetUint64("checkpoint-every", 5);
@@ -219,8 +233,11 @@ int main(int argc, char** argv) {
 
       std::printf("sweep: cell %s%s\n", cell.id.c_str(),
                   config.resume ? " (resuming from checkpoint)" : "");
+      record.Open(partial_path.string());
+      record.WriteRun({cell.profile, cell.attack, cell.defense}, config);
       fl::SimulationResult result = fl::RunExperiment(config);
       if (result.interrupted) {
+        record.Close();
         std::printf("sweep: cell %s checkpointed at round %zu\n",
                     cell.id.c_str(), result.rounds.size());
         interrupted = true;
@@ -234,26 +251,12 @@ int main(int argc, char** argv) {
                     result.total_confusion.Recall());
       }
 
-      // Row files first, the summary (the done-marker) last: a crash in
-      // between re-runs the cell rather than consolidating a partial one.
-      {
-        std::ofstream csv(csv_row_path, std::ios::trunc);
-        csv << cell.id << ',' << cell.profile << ',' << cell.attack << ','
-            << cell.defense << ',' << cell.seed << ','
-            << result.rounds.size() << ',' << result.final_accuracy << ','
-            << result.total_confusion.Precision() << ','
-            << result.total_confusion.Recall() << ','
-            << result.total_dropped_stale << '\n';
-      }
-      {
-        std::ofstream jsonl(jsonl_row_path, std::ios::trunc);
-        jsonl << "{\"cell\":\"" << cell.id << "\",\"profile\":\""
-              << cell.profile << "\",\"attack\":\"" << cell.attack
-              << "\",\"defense\":\"" << cell.defense
-              << "\",\"seed\":" << cell.seed
-              << ",\"summary\":" << fl::RunSummaryJson(result) << "}\n";
-      }
-      fl::WriteRunSummaryJson(result, summary_path.string());
+      // The rename after the closing `summary` line marks the cell done: a
+      // crash before it re-runs the cell rather than consolidating a
+      // partial record.
+      record.WriteResult(result);
+      record.Close();
+      std::filesystem::rename(partial_path, record_path);
       std::filesystem::remove(ckpt_path);
       ++completed;
     }
@@ -265,27 +268,17 @@ int main(int argc, char** argv) {
       return 0;
     }
 
-    // Every cell is done: consolidate per-cell rows, grid order.
-    const auto csv_path = out_dir / "results.csv";
-    const auto jsonl_path = out_dir / "results.jsonl";
+    // Every cell is done: consolidate, grid order.
+    const auto results_path = out_dir / "results.jsonl";
     {
-      std::ofstream csv(csv_path, std::ios::trunc);
-      csv << "cell,profile,attack,defense,seed,rounds,final_accuracy,"
-             "precision,recall,dropped_stale\n";
+      std::ofstream results(results_path, std::ios::trunc);
       for (const Cell& cell : grid) {
-        AppendFileTo(csv, out_dir / (cell.id + ".row.csv"));
-      }
-    }
-    {
-      std::ofstream jsonl(jsonl_path, std::ios::trunc);
-      for (const Cell& cell : grid) {
-        AppendFileTo(jsonl, out_dir / (cell.id + ".row.jsonl"));
+        AppendRunAndSummary(results, out_dir / (cell.id + ".jsonl"));
       }
     }
     std::printf("sweep: complete — %zu run now, %zu resumed as done; "
-                "results in %s and %s\n",
-                completed, skipped, csv_path.string().c_str(),
-                jsonl_path.string().c_str());
+                "results in %s\n",
+                completed, skipped, results_path.string().c_str());
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

@@ -8,6 +8,8 @@
 //     well-behaved client that completed its handshake first must survive
 //     every adversarial exec (checked via the disconnect callback AND by
 //     delivering a real broadcast to it periodically);
+//   * every id the disconnect callback names had connected (its connect
+//     callback fired): a handshake cut off mid-way disconnects no one;
 //   * after the attacker is gone, a fresh well-formed client session
 //     (hello, offer, select, one update, ack) still completes against the
 //     same server instance.
@@ -16,6 +18,7 @@
 // engine and real libFuzzer report as a crash with the input saved.
 #include <cstdint>
 #include <memory>
+#include <set>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -50,7 +53,10 @@ struct World {
 
   net::Server server;
   net::Connection good;
+  std::set<int> connected;
   std::vector<int> disconnected;
+  // Disconnects of ids that were not connected at the time.
+  std::vector<int> stray_disconnects;
   std::uint64_t execs = 0;
   std::uint64_t next_session_id = 1000;
 };
@@ -174,8 +180,14 @@ void RunMuxSession(World& world) {
 void InitWorld() {
   g_world = std::make_unique<World>();
   World& world = *g_world;
-  world.server.SetDisconnectHandler(
-      [](int client_id) { g_world->disconnected.push_back(client_id); });
+  world.server.SetConnectHandler(
+      [](int client_id) { g_world->connected.insert(client_id); });
+  world.server.SetDisconnectHandler([](int client_id) {
+    if (g_world->connected.erase(client_id) == 0) {
+      g_world->stray_disconnects.push_back(client_id);
+    }
+    g_world->disconnected.push_back(client_id);
+  });
   world.good = net::ConnectWithRetry(world.server.port(), FastRetry(), 3);
   CompleteHandshake(world, world.good, {kGoodClientId}, "identity");
 }
@@ -243,6 +255,12 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     }
     if (!world.server.IsConnected(kGoodClientId)) {
       throw std::runtime_error("invariant: good client lost its session");
+    }
+    if (!world.stray_disconnects.empty()) {
+      throw std::runtime_error(
+          "invariant: disconnect fired for client " +
+          std::to_string(world.stray_disconnects.front()) +
+          ", which never connected");
     }
     // Walks every registered connection (HandshakeCount dereferences each
     // by_client_ entry), so a mapping left dangling by the adversarial

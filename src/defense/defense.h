@@ -47,13 +47,13 @@ struct AggregationResult {
   // Updates to re-enqueue into the next buffer (mid-band deferral).
   std::vector<fl::ModelUpdate> deferred;
   // Optional per-update suspicious scores, aligned with the input updates.
-  // Defenses that score (AsyncFilter) fill this for the audit trail; empty
+  // Defenses that score (AsyncFilter) fill this for the run record; empty
   // means "this defense does not score".
   std::vector<double> scores;
   // Why this round's verdicts deviate from the defense's normal filtering
   // path (e.g. "scores_degenerate" when AsyncFilter cannot separate the
   // buffer and accepts everything). Empty on ordinary rounds. Propagated to
-  // the audit trail so silent fallbacks leave a visible trace.
+  // the run record so silent fallbacks leave a visible trace.
   std::string reason;
 };
 

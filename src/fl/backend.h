@@ -55,7 +55,7 @@ class TrainBackend {
   // Wire provenance of the update a (client, job) produced — codec name and
   // encoded payload size. Backends with no wire return empty stats (the
   // inproc default); the tcp backend reports what actually crossed the
-  // socket. Observability only: values land in the audit trail, never in
+  // socket. Observability only: values land in the run record, never in
   // aggregation.
   struct WireStats {
     std::string codec;

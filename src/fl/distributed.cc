@@ -473,6 +473,7 @@ SimulationResult DistributedDriver::Run() {
   server_options.port = spec.transport.port;
   server_options.io_timeout_ms = spec.transport.io_timeout_ms;
   server_options.offer_trace_context = spec.transport.trace_context;
+  server_options.max_client_id = static_cast<int>(spec.clients.size()) - 1;
   if (!spec.transport.codec.empty()) {
     // Validate the name up front (throws with the known-codec list) and
     // advertise it; clients pick it during their handshake.

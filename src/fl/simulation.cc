@@ -8,9 +8,9 @@
 
 #include "compress/codec.h"
 #include "fl/checkpoint.h"
+#include "fl/run_record.h"
 #include "fl/trace_context.h"
 #include "nn/serialize.h"
-#include "obs/audit.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "stats/zipf.h"
@@ -163,7 +163,7 @@ SimulationResult Simulation::Run() {
   obs::Counter& rounds_counter = registry.GetCounter("sim.rounds",
                                                      metric_labels);
   obs::Gauge& round_gauge = registry.GetGauge("sim.round", metric_labels);
-  obs::AuditTrail& audit = obs::AuditTrail::Global();
+  RunRecord& run_record = RunRecord::Global();
 
   // Kick off every client (the paper's sampler selects all 100 each round).
   // A restored run skips this: its event queue, RNG positions, and job
@@ -232,10 +232,10 @@ SimulationResult Simulation::Run() {
         // Observability sidecar. The trace id is a pure function of
         // (seed, client, job) — the same id the tcp backend stamped on the
         // broadcast — so it costs a mix, never an RNG draw. Wire stats and
-        // the queue-entry clock stamp only matter to the audit trail.
+        // the queue-entry clock stamp only matter to the run record.
         update.trace_id =
             TraceIdFor(config_.seed, job.client_id, job.job_index);
-        if (audit.enabled()) {
+        if (run_record.enabled()) {
           TrainBackend::WireStats wire =
               backend_->UpdateWireStats(job.client_id, job.job_index);
           update.codec = std::move(wire.codec);
@@ -348,18 +348,17 @@ SimulationResult Simulation::Run() {
           ++record.confusion.true_negative;
         }
       }
-      // Audit trail: one record per update the defense saw, in the same
+      // Run record: one `update` per update the defense saw, in the same
       // loop that tallies RoundRecord, so the two can never disagree.
-      if (audit.enabled()) {
-        obs::AuditRecord entry;
+      if (run_record.enabled()) {
+        UpdateRecord entry;
         entry.round = round_;
         entry.client_id = buffer_[i].client_id;
         entry.staleness = buffer_[i].staleness;
         entry.has_score = has_scores;
         entry.score = has_scores ? agg.scores[i] : 0.0;
-        entry.verdict = rejected   ? obs::AuditVerdict::kFiltered
-                        : deferred ? obs::AuditVerdict::kDeferred
-                                   : obs::AuditVerdict::kKept;
+        entry.verdict = agg.verdicts[i];
+        entry.malicious = malicious;
         entry.codec = buffer_[i].codec;
         entry.wire_bytes = buffer_[i].wire_bytes;
         if (buffer_[i].enqueued_ns != 0 &&
@@ -371,7 +370,7 @@ SimulationResult Simulation::Run() {
         entry.scoring_us = defense_us;
         entry.trace_id = buffer_[i].trace_id;
         entry.reason = agg.reason;
-        audit.Append(entry);
+        run_record.AppendUpdate(entry);
       }
       // Per-update defense span sharing the update's trace id; this is the
       // server-side half of the cross-process timeline the client's

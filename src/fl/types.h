@@ -42,7 +42,7 @@ struct ModelUpdate {
   std::string codec;
   std::uint64_t wire_bytes = 0;
   // steady_clock stamp when the update entered the server buffer; feeds the
-  // audit trail's queue-wait latency. 0 = unknown (e.g. after a checkpoint
+  // run record's queue-wait latency. 0 = unknown (e.g. after a checkpoint
   // restore — wall latencies are not meaningful across process lifetimes).
   std::uint64_t enqueued_ns = 0;
 };

@@ -55,6 +55,11 @@ struct Server::Conn : Session::Host {
   }
 
   bool BindClient(int client_id) override {
+    if (client_id > server->options_.max_client_id) {
+      AF_LOG(kWarn) << "net: hello names client " << client_id
+                    << ", outside the fleet; closing";
+      return false;
+    }
     if (server->by_client_.count(client_id) > 0) {
       AF_LOG(kWarn) << "net: duplicate handshake for client " << client_id
                     << "; closing new connection";
@@ -254,16 +259,22 @@ void Server::UpdateWriteInterest(Conn& conn) {
 void Server::CloseConn(Conn& conn, const char* reason) {
   const int fd = conn.fd.get();
   reactor_.Remove(fd);
+  // Ids bound by a handshake that never finished are released silently:
+  // their connect never fired, so neither does their disconnect.
+  const bool connected = conn.session->handshake_complete();
   for (const int id : conn.session->client_ids()) {
+    by_client_.erase(id);
+    if (!connected) {
+      continue;
+    }
     AF_LOG(kInfo) << "net: client " << id << " disconnected (" << reason
                   << ")";
-    by_client_.erase(id);
     evictions_.Increment();
     if (on_disconnect_) {
       on_disconnect_(id);
     }
   }
-  if (!conn.session->client_ids().empty()) {
+  if (connected) {
     connected_clients_.Set(static_cast<double>(HandshakeCount()));
   }
   conns_.erase(fd);  // destroys conn

@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -48,6 +49,9 @@ struct ServerOptions {
   // Whether the Offer offers trace-context propagation; clients answer in
   // their Select whether they will attach AFTC blocks.
   bool offer_trace_context = false;
+  // The fleet's largest client id: a Hello naming a larger one is refused
+  // and its connection closed.
+  int max_client_id = std::numeric_limits<int>::max();
 };
 
 class Server {
@@ -70,7 +74,9 @@ class Server {
 
   void SetUpdateHandler(UpdateHandler handler);
   void SetConnectHandler(ClientHandler handler);     // after handshake
-  void SetDisconnectHandler(ClientHandler handler);  // any close/eviction
+  // Fires on the close or eviction of a client whose connect fired; a
+  // connection that closes mid-handshake disconnects no one.
+  void SetDisconnectHandler(ClientHandler handler);
 
   // One reactor tick; blocks at most `timeout_ms` waiting for readiness.
   void PollOnce(int timeout_ms);
@@ -91,8 +97,8 @@ class Server {
   bool WaitForClients(std::size_t count, int timeout_ms);
 
   // Drops the client's connection (e.g. job deadline exceeded). Fires the
-  // disconnect handler for every client id bound to that connection — a
-  // pool behind one socket is one peer.
+  // disconnect handler for every client id connected through it — a pool
+  // behind one socket is one peer.
   void Evict(int client_id, const char* reason);
 
   bool IsConnected(int client_id) const;

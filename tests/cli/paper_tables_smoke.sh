@@ -15,5 +15,5 @@ mkdir -p "$out"
 "$python" "$paper_tables" fig7 --rounds 3 --seeds 7 --out "$out" \
   --run-sweep "$run_sweep" > "$out/paper_tables.log"
 grep -qx 'fig7: 8 of 8 cells' "$out/paper_tables.log"
-test "$(wc -l < "$out/fig7-r3/results.jsonl")" -eq 8
+test "$(grep -c '"type":"summary"' "$out/fig7-r3/results.jsonl")" -eq 8
 test "$(grep -c '^| asyncfilter' "$out/fig7-r3/table.md")" -eq 2

@@ -4,10 +4,16 @@
 // the wire hostile. These are the slowest tests in the suite.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <set>
 #include <string_view>
+#include <thread>
 
 #include "fl/experiment.h"
+#include "net/frame.h"
+#include "net/socket.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace fl {
@@ -263,6 +269,55 @@ TEST(DistributedTest, CompletesWhenFifthOfClientsDieMidRun) {
   EXPECT_LT(result.evicted_clients, config.num_clients);
   // The run must still have learned something (random guessing is 0.1).
   EXPECT_GT(result.final_accuracy, 0.1);
+}
+
+TEST(DistributedTest, StrangerHelloOutsideTheFleetChangesNothing) {
+  // Mid-run, a peer that is not in the fleet connects, names client id
+  // 100000 and hangs up before its Select. The server must refuse the id
+  // rather than bind it, and its hang-up must disconnect no one: nothing
+  // reaches the backend's liveness table, and the run stays bit-identical.
+  ExperimentConfig config = SmallConfig(64);
+  config.attack = attacks::AttackKind::kGd;
+  config.defense = DefenseKind::kAsyncFilter;
+  config.sim.rounds = 6;
+  const SimulationResult inproc = RunExperiment(config);
+
+  config.transport = TransportKind::kTcp;
+  config.net.port = net::Listener(0).port();  // a free ephemeral port
+  const std::uint16_t port = config.net.port;
+  obs::Counter& updates =
+      obs::DefaultRegistry().GetCounter("transport.updates");
+  const std::uint64_t updates_before = updates.Value();
+  std::atomic<bool> refused{false};
+  std::thread stranger([&] {
+    // Wait for the first update: the backend is training, so its
+    // disconnect handler is live.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (updates.Value() == updates_before &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    try {
+      net::RetryConfig retry;
+      retry.initial_backoff_ms = 1.0;
+      net::Connection conn = net::ConnectWithRetry(port, retry, 64);
+      conn.SendFrame(net::EncodeHello({{100000}}), 1000);
+      net::Frame frame;
+      refused = conn.TryRecvFrame(&frame, 5000) ==
+                net::Connection::RecvStatus::kEof;
+      conn.Close();  // before any Select
+    } catch (const std::exception&) {
+      refused = false;
+    }
+  });
+  const SimulationResult tcp = RunExperiment(config);
+  stranger.join();
+
+  EXPECT_TRUE(refused) << "the server answered a hello from outside the "
+                          "fleet instead of closing it";
+  EXPECT_EQ(tcp.evicted_clients, 0u);
+  EXPECT_EQ(tcp.final_model, inproc.final_model);  // bit-exact
 }
 
 }  // namespace

@@ -1,17 +1,19 @@
-// The live observability plane's correctness contracts: the audit trail
-// reconciles exactly with SimulationResult, the /metrics exporter is
+// The live observability plane's correctness contracts: the run record's
+// `update` lines reconcile exactly with SimulationResult, recording and the
+// /metrics exporter are
 // observation-only (bit-identical results on or off), and trace ids are
 // deterministic pure functions.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <set>
 #include <string>
 
 #include "fl/experiment.h"
+#include "fl/run_record.h"
 #include "fl/trace_context.h"
-#include "obs/audit.h"
 #include "obs/export.h"
 #include "obs/json.h"
 
@@ -33,77 +35,98 @@ ExperimentConfig TinyConfig(std::uint64_t seed) {
   return config;
 }
 
-// Close and clear the global audit trail around each test: it is
-// process-wide state shared with every other simulation-running test.
+// Close the global run record after each test: it is process-wide state
+// shared with every other simulation-running test.
 class ObservabilityTest : public ::testing::Test {
  protected:
-  void TearDown() override { obs::AuditTrail::Global().Close(); }
+  void TearDown() override { RunRecord::Global().Close(); }
 };
 
+// The value of `"key":` in one JSONL line (up to the next ',' or '}').
+std::string Field(const std::string& line, const std::string& key) {
+  const std::string needle = "\"" + key + "\":";
+  const std::size_t at = line.find(needle);
+  if (at == std::string::npos) {
+    return "<missing>";
+  }
+  const std::size_t begin = at + needle.size();
+  return line.substr(begin, line.find_first_of(",}", begin) - begin);
+}
+
 TEST_F(ObservabilityTest, AuditCountsReconcileExactlyWithSimulationResult) {
-  const std::string path = ::testing::TempDir() + "obs_audit_run.jsonl";
+  const std::string path = ::testing::TempDir() + "obs_record_run.jsonl";
   ExperimentConfig config = TinyConfig(71);
   config.attack = attacks::AttackKind::kGd;
   config.defense = DefenseKind::kAsyncFilter;
 
-  obs::AuditTrail& audit = obs::AuditTrail::Global();
-  audit.Open(path);
+  RunRecord& record = RunRecord::Global();
+  record.Open(path);
   const SimulationResult result = RunExperiment(config);
-  audit.Close();
+  record.Close();
 
-  // The audit trail and RoundRecord are tallied in the same loop; their
-  // totals must agree exactly, per verdict.
-  std::size_t accepted = 0, rejected = 0, deferred = 0, buffered = 0;
-  for (const RoundRecord& round : result.rounds) {
-    accepted += round.accepted;
-    rejected += round.rejected;
-    deferred += round.deferred;
-    buffered += round.buffered;
-  }
-  std::uint64_t kept_total = 0, filtered_total = 0, deferred_total = 0;
-  for (const auto& [client, counts] : audit.CountsByClient()) {
-    EXPECT_GE(client, 0);
-    EXPECT_LT(client, static_cast<int>(config.num_clients));
-    kept_total += counts.kept;
-    filtered_total += counts.filtered;
-    deferred_total += counts.deferred;
-  }
-  EXPECT_EQ(kept_total, accepted);
-  EXPECT_EQ(filtered_total, rejected);
-  EXPECT_EQ(deferred_total, deferred);
-  EXPECT_EQ(audit.RecordCount(), buffered);
-
-  // Every line is one valid JSON object carrying a legal verdict, and the
-  // file has exactly one line per update the defense saw.
+  // The `update` lines and RoundRecord are tallied in the same loop; their
+  // counts must agree exactly, per round, per verdict and per ground truth.
+  std::map<std::size_t, RoundRecord> tallies;
   std::ifstream in(path);
   std::string line;
   std::size_t lines = 0;
   while (std::getline(in, line)) {
     std::string error;
     ASSERT_TRUE(obs::JsonLint(line, &error)) << error << "\n" << line;
-    const bool legal = line.find("\"verdict\":\"kept\"") != std::string::npos ||
-                       line.find("\"verdict\":\"filtered\"") !=
-                           std::string::npos ||
-                       line.find("\"verdict\":\"deferred\"") !=
-                           std::string::npos;
-    EXPECT_TRUE(legal) << line;
+    ASSERT_EQ(Field(line, "type"), "\"update\"") << line;
+    const int client = std::stoi(Field(line, "client_id"));
+    EXPECT_GE(client, 0);
+    EXPECT_LT(client, static_cast<int>(config.num_clients));
+    RoundRecord& tally = tallies[std::stoul(Field(line, "round"))];
+    const std::string verdict = Field(line, "verdict");
+    const std::string malicious = Field(line, "malicious");
+    ASSERT_TRUE(malicious == "true" || malicious == "false") << line;
+    const bool truth = malicious == "true";
+    ++tally.buffered;
+    if (verdict == "\"rejected\"") {
+      ++tally.rejected;
+      ++(truth ? tally.confusion.true_positive
+               : tally.confusion.false_positive);
+    } else {
+      ASSERT_TRUE(verdict == "\"accepted\"" || verdict == "\"deferred\"")
+          << line;
+      ++(verdict == "\"accepted\"" ? tally.accepted : tally.deferred);
+      ++(truth ? tally.confusion.false_negative
+               : tally.confusion.true_negative);
+    }
     ++lines;
   }
   in.close();
   std::remove(path.c_str());
+
+  std::size_t buffered = 0;
+  for (const RoundRecord& round : result.rounds) {
+    SCOPED_TRACE(round.round);
+    const RoundRecord& tally = tallies[round.round];
+    EXPECT_EQ(tally.buffered, round.buffered);
+    EXPECT_EQ(tally.accepted, round.accepted);
+    EXPECT_EQ(tally.rejected, round.rejected);
+    EXPECT_EQ(tally.deferred, round.deferred);
+    EXPECT_EQ(tally.confusion.true_positive, round.confusion.true_positive);
+    EXPECT_EQ(tally.confusion.false_positive, round.confusion.false_positive);
+    EXPECT_EQ(tally.confusion.true_negative, round.confusion.true_negative);
+    EXPECT_EQ(tally.confusion.false_negative, round.confusion.false_negative);
+    buffered += round.buffered;
+  }
   EXPECT_EQ(lines, buffered);
+  EXPECT_EQ(tallies.size(), result.rounds.size());
 }
 
 TEST_F(ObservabilityTest, AuditOnLeavesResultsBitIdentical) {
-  const std::string path = ::testing::TempDir() + "obs_audit_identical.jsonl";
+  const std::string path = ::testing::TempDir() + "obs_record_identical.jsonl";
   ExperimentConfig config = TinyConfig(72);
   config.attack = attacks::AttackKind::kGd;
   config.defense = DefenseKind::kAsyncFilter;
 
   const SimulationResult plain = RunExperiment(config);
-  obs::AuditTrail::Global().Open(path);
+  RunRecord::Global().Open(path);
   const SimulationResult audited = RunExperiment(config);
-  obs::AuditTrail::Global().Close();
+  RunRecord::Global().Close();
   std::remove(path.c_str());
 
   EXPECT_EQ(audited.final_model, plain.final_model);  // bit-exact

@@ -1,14 +1,15 @@
-// Structured run telemetry (fl/telemetry.h) plus the observability smoke
-// test ISSUE 1 mandates: a short instrumented run must produce the expected
-// spans and metrics while leaving SimulationResult bit-identical.
-#include "fl/telemetry.h"
+// The run record writer (fl/run_record.h): every record type's line
+// format, its null rules and the sink's open/close behaviour, plus the
+// observability smoke test: a short instrumented run must produce the
+// expected spans and metrics while leaving SimulationResult bit-identical.
+#include "fl/run_record.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
 #include <set>
-#include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -54,38 +55,167 @@ std::vector<std::string> ReadLines(const std::string& path) {
   return lines;
 }
 
-TEST(TelemetryTest, JsonlHasOneValidLinePerRound) {
-  const SimulationResult result = MakeFakeResult();
-  const std::string path = ::testing::TempDir() + "rounds_test.jsonl";
-  WriteRoundsJsonl(result, path);
-  const std::vector<std::string> lines = ReadLines(path);
-  std::remove(path.c_str());
+bool Contains(const std::string& text, const std::string& needle) {
+  return text.find(needle) != std::string::npos;
+}
 
-  ASSERT_EQ(lines.size(), result.rounds.size());
+bool StartsWith(const std::string& text, const std::string& prefix) {
+  return text.rfind(prefix, 0) == 0;
+}
+
+// Writes `write(record)` through a fresh sink and returns the file's lines.
+template <typename Write>
+std::vector<std::string> Record(const std::string& name, Write write) {
+  const std::string path = ::testing::TempDir() + name;
+  RunRecord record;
+  record.Open(path);
+  write(record);
+  record.Close();
+  std::vector<std::string> lines = ReadLines(path);
+  std::remove(path.c_str());
   for (const std::string& line : lines) {
     std::string error;
     EXPECT_TRUE(obs::JsonLint(line, &error)) << error << "\n" << line;
-    EXPECT_NE(line.find("\"round\""), std::string::npos);
-    EXPECT_NE(line.find("\"defense_micros\""), std::string::npos);
-    EXPECT_NE(line.find("\"staleness_histogram\""), std::string::npos);
-    EXPECT_NE(line.find("\"confusion\""), std::string::npos);
   }
-  // Round 1 was not evaluated: accuracy must be JSON null, not -1.
-  EXPECT_NE(lines[1].find("\"test_accuracy\":null"), std::string::npos);
-  EXPECT_EQ(lines[0].find("\"test_accuracy\":null"), std::string::npos);
-  EXPECT_NE(lines[0].find("\"staleness_histogram\":{\"0\":4,\"3\":2}"),
-            std::string::npos);
+  return lines;
 }
 
-TEST(TelemetryTest, RunSummaryJsonIsValidAndCarriesLatencyPercentiles) {
+TEST(TelemetryTest, JsonlHasOneValidLinePerRound) {
   const SimulationResult result = MakeFakeResult();
-  const std::string json = RunSummaryJson(result);
-  std::string error;
-  ASSERT_TRUE(obs::JsonLint(json, &error)) << error << "\n" << json;
-  EXPECT_NE(json.find("\"final_accuracy\""), std::string::npos);
-  EXPECT_NE(json.find("\"defense_latency\""), std::string::npos);
-  EXPECT_NE(json.find("\"p50_micros\""), std::string::npos);
-  EXPECT_NE(json.find("\"p99_micros\""), std::string::npos);
+  const std::vector<std::string> lines = Record(
+      "rounds_test.jsonl",
+      [&](RunRecord& record) { record.WriteResult(result); });
+
+  ASSERT_EQ(lines.size(), result.rounds.size() + 1);  // + the summary
+  for (std::size_t i = 0; i < result.rounds.size(); ++i) {
+    EXPECT_TRUE(StartsWith(lines[i],
+                           "{\"schema_version\":1,\"type\":\"round\","))
+        << lines[i];
+    EXPECT_TRUE(Contains(lines[i], "\"defense_micros\""));
+    EXPECT_TRUE(Contains(lines[i], "\"confusion\""));
+  }
+  // Round 1 was not evaluated: accuracy must be JSON null, not -1.
+  EXPECT_TRUE(Contains(lines[1], "\"test_accuracy\":null"));
+  EXPECT_FALSE(Contains(lines[0], "\"test_accuracy\":null"));
+  EXPECT_TRUE(
+      Contains(lines[0], "\"staleness_histogram\":{\"0\":4,\"3\":2}"));
+}
+
+TEST(TelemetryTest, SummaryRecordCarriesLatencyPercentiles) {
+  const SimulationResult result = MakeFakeResult();
+  const std::vector<std::string> lines = Record(
+      "summary_test.jsonl",
+      [&](RunRecord& record) { record.WriteResult(result); });
+  ASSERT_FALSE(lines.empty());
+  const std::string& summary = lines.back();
+  EXPECT_TRUE(StartsWith(summary,
+                         "{\"schema_version\":1,\"type\":\"summary\","))
+      << summary;
+  EXPECT_TRUE(Contains(summary, "\"final_accuracy\""));
+  EXPECT_TRUE(Contains(summary, "\"rounds\":3"));
+  EXPECT_TRUE(Contains(summary, "\"confusion\":{\"tp\":3,\"fp\":0,"
+                                "\"tn\":15,\"fn\":0}"));
+  EXPECT_TRUE(Contains(summary, "\"p50_micros\""));
+  EXPECT_TRUE(Contains(summary, "\"p99_micros\""));
+}
+
+TEST(TelemetryTest, RunRecordNamesTheConfiguredRun) {
+  ExperimentConfig config = MakeDefaultConfig(data::Profile::kMnist, 9);
+  config.num_clients = 12;
+  config.sim.rounds = 4;
+  const std::vector<std::string> lines =
+      Record("run_test.jsonl", [&](RunRecord& record) {
+        record.WriteRun({"mnist", "min-max", "asyncfilter"}, config);
+      });
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_TRUE(StartsWith(lines[0],
+                         "{\"schema_version\":1,\"type\":\"run\","
+                         "\"profile\":\"mnist\",\"attack\":\"min-max\","
+                         "\"defense\":\"asyncfilter\",\"seed\":9,"
+                         "\"clients\":12,"))
+      << lines[0];
+  EXPECT_TRUE(Contains(lines[0], "\"rounds\":4"));
+  EXPECT_TRUE(Contains(lines[0], "\"transport\":\"inproc\""));
+  EXPECT_TRUE(Contains(lines[0], "\"compress\":null"));
+  EXPECT_TRUE(Contains(lines[0], "\"clients_virtual\":false"));
+}
+
+TEST(TelemetryTest, UpdateRecordsWriteUnknownsAsNull) {
+  const std::vector<std::string> lines =
+      Record("update_test.jsonl", [](RunRecord& record) {
+        UpdateRecord scored;
+        scored.round = 3;
+        scored.client_id = 7;
+        scored.staleness = 2;
+        scored.has_score = true;
+        scored.score = 0.8125;
+        scored.verdict = defense::Verdict::kRejected;
+        scored.malicious = true;
+        scored.codec = "fp16";
+        scored.wire_bytes = 1234;
+        scored.queue_wait_us = 55.5;
+        scored.scoring_us = 12.0;
+        scored.trace_id = 0xDEADBEEFull;
+        record.AppendUpdate(scored);
+
+        UpdateRecord bare;  // every optional field at its "unknown" default
+        bare.round = 4;
+        bare.client_id = 1;
+        record.AppendUpdate(bare);
+      });
+  ASSERT_EQ(lines.size(), 2u);
+  EXPECT_TRUE(StartsWith(lines[0],
+                         "{\"schema_version\":1,\"type\":\"update\","));
+  EXPECT_TRUE(Contains(lines[0], "\"verdict\":\"rejected\""));
+  EXPECT_TRUE(Contains(lines[0], "\"malicious\":true"));
+  EXPECT_TRUE(Contains(lines[0], "\"score\":0.8125"));
+  EXPECT_TRUE(Contains(lines[0], "\"codec\":\"fp16\""));
+  EXPECT_TRUE(Contains(lines[0], "\"wire_bytes\":1234"));
+  EXPECT_TRUE(Contains(lines[0], "\"trace_id\":\"" +
+                                     obs::TraceIdHex(0xDEADBEEFull)));
+  // Unknowns are explicit nulls, never absent and never fake zeros.
+  EXPECT_TRUE(Contains(lines[1], "\"verdict\":\"accepted\""));
+  EXPECT_TRUE(Contains(lines[1], "\"malicious\":false"));
+  EXPECT_TRUE(Contains(lines[1], "\"score\":null"));
+  EXPECT_TRUE(Contains(lines[1], "\"codec\":null"));
+  EXPECT_TRUE(Contains(lines[1], "\"wire_bytes\":null"));
+  EXPECT_TRUE(Contains(lines[1], "\"queue_wait_us\":null"));
+  EXPECT_TRUE(Contains(lines[1], "\"trace_id\":null"));
+  EXPECT_TRUE(Contains(lines[1], "\"reason\":null"));
+}
+
+TEST(TelemetryTest, VerdictNamesMatchDefenseVerdicts) {
+  EXPECT_STREQ(VerdictName(defense::Verdict::kAccepted), "accepted");
+  EXPECT_STREQ(VerdictName(defense::Verdict::kRejected), "rejected");
+  EXPECT_STREQ(VerdictName(defense::Verdict::kDeferred), "deferred");
+}
+
+TEST(TelemetryTest, ClosedRecordDropsWritesSilently) {
+  RunRecord record;
+  EXPECT_FALSE(record.enabled());
+  record.AppendUpdate({});  // must be a no-op, not a crash
+  record.WriteResult(MakeFakeResult());
+  record.Close();  // closing a closed record is fine too
+}
+
+TEST(TelemetryTest, ReopenTruncates) {
+  const std::string path = ::testing::TempDir() + "record_reopen.jsonl";
+  RunRecord record;
+  record.Open(path);
+  record.AppendUpdate({});
+  record.Close();
+
+  record.Open(path);
+  record.Close();
+  EXPECT_TRUE(ReadLines(path).empty());
+  std::remove(path.c_str());
+}
+
+TEST(TelemetryTest, OpenThrowsOnUnwritablePath) {
+  RunRecord record;
+  EXPECT_THROW(record.Open("/nonexistent-dir/run.jsonl"),
+               std::runtime_error);
+  EXPECT_FALSE(record.enabled());
 }
 
 TEST(TelemetryTest, FinalizeResultSummarisesDefenseLatency) {

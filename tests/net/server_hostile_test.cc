@@ -144,9 +144,9 @@ TEST(ServerHostileTest, GoodClientSurvivesHostileHello) {
   EXPECT_TRUE(server.IsConnected(1));
   EXPECT_EQ(server.ConnectedCount(), 1u);
   EXPECT_TRUE(server.WaitForClients(1, 0));
-  // Id 2 was bound (then unbound) by the last hostile hello; id 1 never
-  // leaves.
-  EXPECT_EQ(disconnected, std::vector<int>{2});
+  // Id 2 was bound (then unbound) by the last hostile hello, but it never
+  // connected, so it never disconnects either; id 1 never leaves.
+  EXPECT_TRUE(disconnected.empty());
   ExpectBroadcastDelivered(server, good, 1);
 }
 

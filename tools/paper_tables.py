@@ -9,8 +9,9 @@ run_sweep directory, OUT/<spec>-r<rounds>/ (Fig. 6: one run_sweep call per
 staleness limit, OUT/fig6-r<rounds>/limit<L>/). Rerunning the same command
 skips finished cells and resumes a killed one from its checkpoint.
 
-Once every cell is done, the directory's results.jsonl is rendered as the
-paper-shaped markdown table: accuracy in percent as mean +- sample std over
+Once every cell is done, the directory's results.jsonl (each cell's `run`
+record followed by its `summary` record) is rendered as the paper-shaped
+markdown table: accuracy in percent as mean +- sample std over
 the seeds, with the mean detection precision and recall. The table is
 printed and written to OUT/<spec>-r<rounds>/table.md.
 
@@ -129,18 +130,21 @@ def sweep_command(run_sweep, spec, rounds, seeds, out_dir, extra):
 
 
 def load_cells(path):
+    """(run, summary) record pairs, one per finished cell."""
     with open(path) as f:
-        return [json.loads(line) for line in f if line.strip()]
+        records = [json.loads(line) for line in f if line.strip()]
+    runs = [r for r in records if r["type"] == "run"]
+    summaries = [r for r in records if r["type"] == "summary"]
+    return list(zip(runs, summaries))
 
 
-def format_cell(records):
-    acc = [100.0 * r["summary"]["final_accuracy"] for r in records]
+def format_cell(cells):
+    acc = [100.0 * summary["final_accuracy"] for _, summary in cells]
     text = f"{statistics.mean(acc):.1f}"
     if len(acc) > 1:
         text += f" ± {statistics.stdev(acc):.1f}"
-    precision = statistics.mean(
-        r["summary"]["detection_precision"] for r in records)
-    recall = statistics.mean(r["summary"]["detection_recall"] for r in records)
+    precision = statistics.mean(s["detection_precision"] for _, s in cells)
+    recall = statistics.mean(s["detection_recall"] for _, s in cells)
     return f"{text} (P {precision:.2f} / R {recall:.2f})"
 
 
@@ -158,12 +162,12 @@ def render(name, spec, rounds, seeds, runs):
         path = os.path.join(out_dir, "results.jsonl")
         if not os.path.exists(path):
             continue
-        for r in load_cells(path):
-            if r["seed"] not in seeds:
+        for run, summary in load_cells(path):
+            if run["seed"] not in seeds:
                 continue
-            key = (r["attack"], label) if sweep else (r["defense"],
-                                                      r["attack"])
-            cells.setdefault(key, []).append(r)
+            key = (run["attack"], label) if sweep else (run["defense"],
+                                                        run["attack"])
+            cells.setdefault(key, []).append((run, summary))
     found = sum(len(v) for v in cells.values())
     print(f"{name}: {found} of {expected} cells")
     if found != expected:
