@@ -16,7 +16,8 @@
 //
 // Part 2 keeps the historical defense-comparison table: median
 // Defense::Process() latency for AsyncFilter, FLDetector and Multi-Krum on
-// a 40-update buffer.
+// a 40-update buffer. Multi-Krum also runs at buffer 300, the
+// wide_multikrum e2e workload's buffer.
 //
 // Emits BENCH_defense.json (folded into bench_results/trajectory.jsonl by
 // tools/collect_bench.py). `--smoke` shrinks sample counts for CI;
@@ -291,6 +292,7 @@ int main(int argc, char** argv) {
   {
     defense::Krum krum(0.2, /*multi=*/true);
     process.push_back(RunProcess(krum, "multikrum", 40, dim, smoke));
+    process.push_back(RunProcess(krum, "multikrum", 300, dim, smoke));
   }
 
   obs::JsonWriter json;

@@ -7,6 +7,16 @@
 
 namespace defense {
 
+std::vector<std::span<const float>> Deltas(
+    const std::vector<fl::ModelUpdate>& updates) {
+  std::vector<std::span<const float>> deltas;
+  deltas.reserve(updates.size());
+  for (const fl::ModelUpdate& update : updates) {
+    deltas.push_back(update.delta);
+  }
+  return deltas;
+}
+
 std::vector<float> WeightedAverage(const std::vector<fl::ModelUpdate>& updates,
                                    const std::vector<std::size_t>& indices,
                                    const StalenessWeightingConfig& weighting) {

@@ -92,6 +92,10 @@ class Defense {
   virtual bool RequiresServerReference() const { return false; }
 };
 
+// The updates' payloads as spans, in order.
+std::vector<std::span<const float>> Deltas(
+    const std::vector<fl::ModelUpdate>& updates);
+
 // Sample-count-weighted average of updates[indices]; FedAvg-style p_i with
 // the configured staleness discount applied.
 std::vector<float> WeightedAverage(const std::vector<fl::ModelUpdate>& updates,

@@ -241,12 +241,7 @@ AggregationResult FlDetector::Process(const FilterContext& context,
   }
 
   // 4. Update curvature pairs and per-client history.
-  std::vector<std::span<const float>> all_deltas;
-  all_deltas.reserve(updates.size());
-  for (const auto& update : updates) {
-    all_deltas.push_back(update.delta);
-  }
-  std::vector<float> mean_update = stats::Mean(all_deltas);
+  std::vector<float> mean_update = stats::Mean(Deltas(updates));
   if (has_prev_) {
     std::vector<float> s = stats::Subtract(context.global_model, prev_global_);
     std::vector<float> y = stats::Subtract(mean_update, prev_mean_update_);

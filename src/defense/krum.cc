@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 
+#include "score/scorer.h"
 #include "util/check.h"
 
 namespace defense {
@@ -27,21 +28,9 @@ AggregationResult Krum::Process(const FilterContext& context,
   }
   const std::size_t neighbours = n - m - 2;
 
-  // Pairwise squared distances, answered by the streaming scorer (cached
-  // norms + Gram dots; the exact oracle recomputes the identical formula).
-  scorer_.Clear();
-  std::vector<int> slots(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    slots[i] = scorer_.Insert(updates[i].delta);
-  }
-  std::vector<double> d2(n * n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      double d = scorer_.PairwiseSquaredDistance(slots[i], slots[j]);
-      d2[i * n + j] = d;
-      d2[j * n + i] = d;
-    }
-  }
+  // One dense pass over the buffer (score/scorer.h).
+  const std::vector<double> d2 =
+      score::PairwiseSquaredDistances(Deltas(updates));
   std::vector<double> scores(n, 0.0);
   std::vector<double> row(n - 1);
   for (std::size_t i = 0; i < n; ++i) {

@@ -6,7 +6,6 @@
 #pragma once
 
 #include "defense/defense.h"
-#include "score/scorer.h"
 
 namespace defense {
 
@@ -22,9 +21,6 @@ class Krum : public Defense {
  private:
   double fraction_;
   bool multi_;
-  // Pairwise-distance backend: the Gram plane caches every ⟨ω_i, ω_j⟩ so the
-  // n × n distance table is assembled from cached norms and dots.
-  score::StreamingScorer scorer_;
 };
 
 }  // namespace defense

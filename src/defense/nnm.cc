@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 
+#include "score/scorer.h"
 #include "stats/vec_ops.h"
 #include "util/check.h"
 
@@ -22,22 +23,14 @@ AggregationResult NearestNeighborMixing::Process(
   const std::size_t m = static_cast<std::size_t>(fraction_ * static_cast<double>(n));
   const std::size_t mix = n > m + 1 ? n - m - 1 : n - 1;  // neighbours mixed in
 
-  // Distances come from the streaming scorer: each of the n²/2 pairs is
-  // computed once and served from the Gram cache thereafter, instead of
-  // being recomputed inside the sort comparator.
-  scorer_.Clear();
-  std::vector<int> slots(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    slots[i] = scorer_.Insert(updates[i].delta);
-  }
+  // One dense pass over the buffer (score/scorer.h).
+  const std::vector<double> d2 =
+      score::PairwiseSquaredDistances(Deltas(updates));
   std::vector<std::vector<float>> mixed;
   mixed.reserve(n);
   std::vector<std::size_t> order(n);
-  std::vector<double> row(n);
   for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      row[j] = scorer_.PairwiseSquaredDistance(slots[i], slots[j]);
-    }
+    const double* row = &d2[i * n];
     std::iota(order.begin(), order.end(), 0u);
     std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
       return row[a] < row[b];

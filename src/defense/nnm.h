@@ -5,7 +5,6 @@
 #pragma once
 
 #include "defense/defense.h"
-#include "score/scorer.h"
 
 namespace defense {
 
@@ -19,10 +18,6 @@ class NearestNeighborMixing : public Defense {
 
  private:
   double fraction_;
-  // Pairwise-distance backend; caching matters here — the neighbour sort
-  // previously recomputed ‖ω_i − ω_j‖² inside the comparator (O(n² log n)
-  // full-dimension passes per buffer), the scorer answers each pair once.
-  score::StreamingScorer scorer_;
 };
 
 }  // namespace defense

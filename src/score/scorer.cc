@@ -1,5 +1,6 @@
 #include "score/scorer.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "obs/metrics.h"
@@ -9,8 +10,8 @@
 namespace score {
 namespace {
 
-// The one exact formula both backends share: same kernel calls in the same
-// order, so cached and recomputed answers are bit-identical.
+// The one exact formula every distance shares: same kernel calls in the same
+// order, so cached, recomputed and tabled answers are bit-identical.
 double SquaredDistanceFromParts(double sq_a, double sq_b, double dot) {
   const double d2 = sq_a + sq_b - 2.0 * dot;
   return d2 > 0.0 ? d2 : 0.0;
@@ -26,6 +27,43 @@ const char* ScorerModeName(ScorerMode mode) {
       return "incremental";
   }
   return "?";
+}
+
+std::vector<double> PairwiseSquaredDistances(
+    const std::vector<std::span<const float>>& deltas) {
+  namespace kernels = tensor::kernels;
+  const std::size_t n = deltas.size();
+  std::vector<const float*> rows(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    AF_CHECK_EQ(deltas[i].size(), deltas[0].size());
+    rows[i] = deltas[i].data();
+  }
+  const std::size_t dim = n == 0 ? 0 : deltas[0].size();
+  // Upper triangle first (dots), then the formula in place. Rows go in
+  // blocks of kDotRows, DotMany's full tile height: each block's norms, its
+  // in-block pairs and then every later column in one DotMany call.
+  std::vector<double> norms(n);
+  std::vector<double> d2(n * n, 0.0);
+  for (std::size_t i = 0; i < n; i += kernels::kDotRows) {
+    const std::size_t count = std::min(kernels::kDotRows, n - i);
+    for (std::size_t r = i; r < i + count; ++r) {
+      norms[r] = kernels::SumSquares(rows[r], dim);
+      for (std::size_t c = r + 1; c < i + count; ++c) {
+        d2[r * n + c] = kernels::Dot(rows[r], rows[c], dim);
+      }
+    }
+    kernels::DotMany(rows.data() + i, count, rows.data() + i + count,
+                     n - i - count, dim, d2.data() + i * n + i + count, n);
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j) {
+      const double d =
+          SquaredDistanceFromParts(norms[i], norms[j], d2[i * n + j]);
+      d2[i * n + j] = d;
+      d2[j * n + i] = d;
+    }
+  }
+  return d2;
 }
 
 StreamingScorer::StreamingScorer(ScorerMode mode) : mode_(mode) {
@@ -50,35 +88,12 @@ int StreamingScorer::Insert(std::span<const float> delta) {
   Slot& s = slots_[static_cast<std::size_t>(slot)];
   s.delta = delta;
   s.live = true;
-  ++s.epoch;
   s.sq_norm_valid = false;
   s.ref_cache.clear();
   ++live_count_;
   if (caching()) {
     s.sq_norm = ComputeSquaredNorm(s);
     s.sq_norm_valid = true;
-    if (pairwise_active_) {
-      // Rank-1 Gram update: one new row, mirrored into the columns of the
-      // live peers. Dead slots keep stale entries — epochs make them
-      // unreachable, and slot reuse overwrites them.
-      s.gram.assign(slots_.size(), 0.0);
-      s.gram_epoch.assign(slots_.size(), 0);
-      for (std::size_t j = 0; j < slots_.size(); ++j) {
-        Slot& peer = slots_[j];
-        if (!peer.live || static_cast<int>(j) == slot) {
-          continue;
-        }
-        const double dot = ComputeDot(s, peer);
-        s.gram[j] = dot;
-        s.gram_epoch[j] = peer.epoch;
-        if (peer.gram.size() < slots_.size()) {
-          peer.gram.resize(slots_.size(), 0.0);
-          peer.gram_epoch.resize(slots_.size(), 0);
-        }
-        peer.gram[static_cast<std::size_t>(slot)] = dot;
-        peer.gram_epoch[static_cast<std::size_t>(slot)] = s.epoch;
-      }
-    }
   }
   inserts_->Increment();
   slots_gauge_->Set(static_cast<double>(live_count_));
@@ -109,7 +124,6 @@ void StreamingScorer::Clear() {
   slots_.clear();
   free_slots_.clear();
   live_count_ = 0;
-  pairwise_active_ = false;
   slots_gauge_->Set(0.0);
 }
 
@@ -153,11 +167,6 @@ double StreamingScorer::ComputeSquaredNorm(const Slot& s) const {
   return tensor::kernels::SumSquares(s.delta.data(), s.delta.size());
 }
 
-double StreamingScorer::ComputeDot(const Slot& a, const Slot& b) const {
-  AF_CHECK_EQ(a.delta.size(), b.delta.size());
-  return tensor::kernels::Dot(a.delta.data(), b.delta.data(), a.delta.size());
-}
-
 double StreamingScorer::SquaredNorm(int slot) {
   AF_CHECK(IsLive(slot));
   Slot& s = slots_[static_cast<std::size_t>(slot)];
@@ -169,82 +178,6 @@ double StreamingScorer::SquaredNorm(int slot) {
     s.sq_norm_valid = true;
   }
   return s.sq_norm;
-}
-
-void StreamingScorer::ActivatePairwise() {
-  if (pairwise_active_) {
-    return;
-  }
-  pairwise_active_ = true;
-  if (!caching()) {
-    return;
-  }
-  // One-time fill for the slots inserted before the pairwise plane woke up;
-  // every later Insert extends the matrix one rank at a time.
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
-    Slot& a = slots_[i];
-    if (!a.live) {
-      continue;
-    }
-    if (a.gram.size() < slots_.size()) {
-      a.gram.resize(slots_.size(), 0.0);
-      a.gram_epoch.resize(slots_.size(), 0);
-    }
-    for (std::size_t j = i + 1; j < slots_.size(); ++j) {
-      Slot& b = slots_[j];
-      if (!b.live) {
-        continue;
-      }
-      if (b.gram.size() < slots_.size()) {
-        b.gram.resize(slots_.size(), 0.0);
-        b.gram_epoch.resize(slots_.size(), 0);
-      }
-      const double dot = ComputeDot(a, b);
-      a.gram[j] = dot;
-      a.gram_epoch[j] = b.epoch;
-      b.gram[i] = dot;
-      b.gram_epoch[i] = a.epoch;
-    }
-  }
-}
-
-double StreamingScorer::Dot(int a, int b) {
-  AF_CHECK(IsLive(a));
-  AF_CHECK(IsLive(b));
-  Slot& sa = slots_[static_cast<std::size_t>(a)];
-  Slot& sb = slots_[static_cast<std::size_t>(b)];
-  if (a == b) {
-    return SquaredNorm(a);
-  }
-  if (!caching()) {
-    return ComputeDot(sa, sb);
-  }
-  ActivatePairwise();
-  const auto ub = static_cast<std::size_t>(b);
-  if (sa.gram.size() <= ub || sa.gram_epoch[ub] != sb.epoch) {
-    const double dot = ComputeDot(sa, sb);
-    if (sa.gram.size() <= ub) {
-      sa.gram.resize(slots_.size(), 0.0);
-      sa.gram_epoch.resize(slots_.size(), 0);
-    }
-    sa.gram[ub] = dot;
-    sa.gram_epoch[ub] = sb.epoch;
-    const auto ua = static_cast<std::size_t>(a);
-    if (sb.gram.size() <= ua) {
-      sb.gram.resize(slots_.size(), 0.0);
-      sb.gram_epoch.resize(slots_.size(), 0);
-    }
-    sb.gram[ua] = dot;
-    sb.gram_epoch[ua] = sa.epoch;
-  }
-  return sa.gram[ub];
-}
-
-double StreamingScorer::PairwiseSquaredDistance(int a, int b) {
-  if (a == b) {
-    return 0.0;
-  }
-  return SquaredDistanceFromParts(SquaredNorm(a), SquaredNorm(b), Dot(a, b));
 }
 
 double StreamingScorer::ComputeReferenceDistance(const Reference& ref,

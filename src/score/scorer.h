@@ -1,27 +1,28 @@
-// Streaming defense-scoring substrate.
+// Defense-scoring substrate.
 //
 // AsyncFilter-style rescoring recomputes every update's distance signal and
 // re-clusters the whole server buffer each time the buffer changes; Krum and
-// NNM recompute a full pairwise-distance table per aggregation pass. Both
-// shapes reduce to three cached quantities per buffered update ω:
+// NNM build a full pairwise-distance table per aggregation pass. Both reduce
+// to the Gram identity over squared norms and dot products:
 //
-//   ‖ω‖²                       (squared norm, immutable per update)
-//   ⟨ω_i, ω_j⟩                 (Gram matrix over the live buffer)
-//   d(ref, ω) = √(‖ref‖² + ‖ω‖² − 2⟨ref, ω⟩)   (distance to a reference
-//                                               vector, e.g. a staleness
-//                                               group's moving average)
+//   d²(a, b) = max(0, ‖a‖² + ‖b‖² − 2⟨a, b⟩)
 //
-// StreamingScorer owns those caches and keeps them consistent across buffer
-// mutations: Insert computes one new norm plus (when the pairwise plane is
-// active) one new Gram row — a rank-1 add; Evict drops a row/column; a
-// reference update invalidates exactly the distances derived from it. The
-// exact backend answers every query by recomputing the *same formula* from
-// scratch, so the two modes are bit-identical by construction and differ only
-// in work — the property the tests in tests/score/ pin down.
+// StreamingScorer serves the first shape. It caches each buffered update's
+// ‖ω‖² and its distance to a reference vector (e.g. a staleness group's
+// moving average), d(ref, ω) = √d²(ref, ω), and keeps those caches
+// consistent across buffer mutations: Insert computes one new norm; Evict
+// frees a slot; a reference update invalidates exactly the distances derived
+// from it. The exact backend answers every query by recomputing the *same
+// formula* from scratch, so the two modes are bit-identical by construction
+// and differ only in work — the property the tests in tests/score/ pin down.
+//
+// PairwiseSquaredDistances serves the second: one dense n × n pass through
+// the register-blocked tensor::kernels::DotMany, with each entry
+// bit-identical to the per-pair formula.
 //
 // Modes (default incremental):
 //   exact        no caching; every query recomputes. The test oracle.
-//   incremental  norms/Gram/reference distances cached across mutations.
+//   incremental  norms and reference distances cached across mutations.
 //
 // Lifetime contract: Insert borrows the caller's float storage — the span
 // must stay valid until the slot is evicted, the scorer is cleared, or the
@@ -48,14 +49,20 @@ enum class ScorerMode { kExact, kIncremental };
 
 const char* ScorerModeName(ScorerMode mode);
 
+// Row-major n × n table of d²(deltas[i], deltas[j]) (formula above), exactly
+// 0 on the diagonal and symmetric to the bit. Norms come from SumSquares and
+// dots from DotMany, so every entry equals the per-pair formula over
+// kernels::Dot. Every delta must have the same size.
+std::vector<double> PairwiseSquaredDistances(
+    const std::vector<std::span<const float>>& deltas);
+
 class StreamingScorer {
  public:
   explicit StreamingScorer(ScorerMode mode = ScorerMode::kIncremental);
 
   // --- Buffer mutations -----------------------------------------------
   // Borrows `delta` (see the lifetime contract above); returns the slot id
-  // used by every query. O(d) in incremental mode (one norm) plus O(n·d)
-  // for the new Gram row when the pairwise plane is active.
+  // used by every query. O(d) in incremental mode (one norm).
   int Insert(std::span<const float> delta);
 
   // Rebinds a live slot to new storage holding the SAME contents (a
@@ -63,8 +70,7 @@ class StreamingScorer {
   // All caches survive — contents equality is the caller's contract.
   void Reattach(int slot, std::span<const float> delta);
 
-  // Frees the slot: O(1) — its Gram row/column entries die with it and the
-  // slot id is recycled by a later Insert.
+  // Frees the slot: O(1) — the slot id is recycled by a later Insert.
   void Evict(int slot);
 
   void Clear();
@@ -86,11 +92,8 @@ class StreamingScorer {
 
   // --- Queries: identical bits in every mode --------------------------
   double SquaredNorm(int slot);
-  double Dot(int a, int b);
-  // ‖ω_a − ω_b‖² via the Gram identity, clamped at 0 (cancellation can
-  // leave a tiny negative); 0 when a == b.
-  double PairwiseSquaredDistance(int a, int b);
-  // ‖ref − ω‖ via the same identity.
+  // ‖ref − ω‖ via the Gram identity, clamped at 0 before the root
+  // (cancellation can leave a tiny negative).
   double DistanceToReference(std::uint64_t key, int slot);
 
  private:
@@ -100,11 +103,6 @@ class StreamingScorer {
     // Caches (incremental only).
     double sq_norm = 0.0;
     bool sq_norm_valid = false;
-    // Gram row vs other slots, indexed by slot id; valid entries tracked by
-    // the epoch the row entry was written at vs the column slot's epoch.
-    std::vector<double> gram;
-    std::vector<std::uint64_t> gram_epoch;
-    std::uint64_t epoch = 0;  // bumped on (re)insert
     // key → (reference epoch, distance).
     std::map<std::uint64_t, std::pair<std::uint64_t, double>> ref_cache;
   };
@@ -117,18 +115,13 @@ class StreamingScorer {
 
   bool caching() const { return mode_ != ScorerMode::kExact; }
   double ComputeSquaredNorm(const Slot& s) const;
-  double ComputeDot(const Slot& a, const Slot& b) const;
   double ComputeReferenceDistance(const Reference& ref, Slot& s);
-  void ActivatePairwise();
 
   ScorerMode mode_;
   std::vector<Slot> slots_;
   std::vector<int> free_slots_;
   std::size_t live_count_ = 0;
   std::map<std::uint64_t, Reference> references_;
-  // The Gram plane stays dormant (zero memory) until the first pairwise
-  // query; from then on Insert eagerly adds the new row.
-  bool pairwise_active_ = false;
 
   // Cached metric handles (registry lookups are mutex-guarded).
   obs::Counter* inserts_;

@@ -152,25 +152,97 @@ __attribute__((target("avx2,fma"))) double HSumFixed(__m256d v) {
   return (lane[0] + lane[1]) + (lane[2] + lane[3]);
 }
 
-__attribute__((target("avx2,fma"))) double DotAvx2(const float* a,
-                                                   const float* b,
-                                                   std::size_t n) {
-  __m256d acc0 = _mm256_setzero_pd();
-  __m256d acc1 = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256d a0 = _mm256_cvtps_pd(_mm_loadu_ps(a + i));
-    const __m256d b0 = _mm256_cvtps_pd(_mm_loadu_ps(b + i));
-    const __m256d a1 = _mm256_cvtps_pd(_mm_loadu_ps(a + i + 4));
-    const __m256d b1 = _mm256_cvtps_pd(_mm_loadu_ps(b + i + 4));
-    acc0 = _mm256_fmadd_pd(a0, b0, acc0);
-    acc1 = _mm256_fmadd_pd(a1, b1, acc1);
-  }
-  double sum = HSumFixed(acc0) + HSumFixed(acc1);
+// The end of every AVX2 dot: `lanes` holds acc0 then acc1, combined in
+// HSumFixed's order, then the scalar tail from i. Out of line so every tile
+// shape runs the very same instructions, down to which NaN an add keeps.
+__attribute__((noinline)) double FinishDot(const double* lanes, const float* a,
+                                           const float* b, std::size_t i,
+                                           std::size_t n) {
+  double sum = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) +
+               ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]));
   for (; i < n; ++i) {
     sum += static_cast<double>(a[i]) * b[i];
   }
   return sum;
+}
+
+// R × C dots: out[r * ldo + c] = <a[r], b[c]>. Pair (r, c) keeps two
+// accumulators, acc0 over floats 0–3 and acc1 over floats 4–7 of each
+// 8-float step, then FinishDot. Dot is the 1 × 1 tile, so every pair of a
+// wider tile gets Dot's bits; the wider tile widens each 4-float half once
+// and reuses it across the tile instead of once per pair.
+template <std::size_t R, std::size_t C>
+__attribute__((target("avx2,fma"))) void DotTileAvx2(const float* const* a,
+                                                     const float* const* b,
+                                                     std::size_t n, double* out,
+                                                     std::size_t ldo) {
+  __m256d acc[R][C][2];
+  for (std::size_t r = 0; r < R; ++r) {
+    for (std::size_t c = 0; c < C; ++c) {
+      acc[r][c][0] = _mm256_setzero_pd();
+      acc[r][c][1] = _mm256_setzero_pd();
+    }
+  }
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    for (std::size_t h = 0; h < 2; ++h) {
+      __m256d x[R];
+      for (std::size_t r = 0; r < R; ++r) {
+        x[r] = _mm256_cvtps_pd(_mm_loadu_ps(a[r] + i + 4 * h));
+      }
+      for (std::size_t c = 0; c < C; ++c) {
+        const __m256d y = _mm256_cvtps_pd(_mm_loadu_ps(b[c] + i + 4 * h));
+        for (std::size_t r = 0; r < R; ++r) {
+          acc[r][c][h] = _mm256_fmadd_pd(x[r], y, acc[r][c][h]);
+        }
+      }
+    }
+  }
+  alignas(32) double lanes[8];
+  for (std::size_t r = 0; r < R; ++r) {
+    for (std::size_t c = 0; c < C; ++c) {
+      _mm256_store_pd(lanes, acc[r][c][0]);
+      _mm256_store_pd(lanes + 4, acc[r][c][1]);
+      out[r * ldo + c] = FinishDot(lanes, a[r], b[c], i, n);
+    }
+  }
+}
+
+__attribute__((target("avx2,fma"))) double DotAvx2(const float* a,
+                                                   const float* b,
+                                                   std::size_t n) {
+  double sum;
+  DotTileAvx2<1, 1>(&a, &b, n, &sum, 1);
+  return sum;
+}
+
+// Columns per DotMany tile: kDotRows × kDotCols pairs keep 12 accumulators,
+// kDotRows row halves and one column half in the 16 ymm registers.
+constexpr std::size_t kDotCols = 3;
+
+template <std::size_t R>
+__attribute__((target("avx2,fma"))) void DotRowsAvx2(
+    const float* const* a, const float* const* b, std::size_t cols,
+    std::size_t n, double* out, std::size_t ldo) {
+  std::size_t c = 0;
+  for (; c + kDotCols <= cols; c += kDotCols) {
+    DotTileAvx2<R, kDotCols>(a, b + c, n, out + c, ldo);
+  }
+  for (; c < cols; ++c) {
+    DotTileAvx2<R, 1>(a, b + c, n, out + c, ldo);
+  }
+}
+
+__attribute__((target("avx2,fma"))) void DotManyAvx2(
+    const float* const* a, std::size_t rows, const float* const* b,
+    std::size_t cols, std::size_t n, double* out, std::size_t ldo) {
+  std::size_t r = 0;
+  for (; r + kDotRows <= rows; r += kDotRows) {
+    DotRowsAvx2<kDotRows>(a + r, b, cols, n, out + r * ldo, ldo);
+  }
+  for (; r < rows; ++r) {
+    DotRowsAvx2<1>(a + r, b, cols, n, out + r * ldo, ldo);
+  }
 }
 
 __attribute__((target("avx2,fma"))) double SumSquaresAvx2(const float* v,
@@ -252,6 +324,21 @@ double Dot(const float* a, const float* b, std::size_t n) {
   }
 #endif
   return DotScalar(a, b, n);
+}
+
+void DotMany(const float* const* a, std::size_t rows, const float* const* b,
+             std::size_t cols, std::size_t n, double* out, std::size_t ldo) {
+#if AF_KERNELS_X86
+  if (ActiveIsa() == Isa::kAvx2) {
+    DotManyAvx2(a, rows, b, cols, n, out, ldo);
+    return;
+  }
+#endif
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t c = 0; c < cols; ++c) {
+      out[r * ldo + c] = DotScalar(a[r], b[c], n);
+    }
+  }
 }
 
 double SumSquares(const float* v, std::size_t n) {

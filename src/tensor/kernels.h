@@ -43,6 +43,18 @@ bool Avx2Available();
 // <a, b> accumulated in double.
 double Dot(const float* a, const float* b, std::size_t n);
 
+// Rows per register tile of DotMany's AVX2 path: callers that can hand it
+// row pairs get the full tile.
+inline constexpr std::size_t kDotRows = 2;
+
+// out[r * ldo + c] = Dot(a[r], b[c], n) for r in [0, rows), c in [0, cols);
+// every entry is bit-identical to Dot on the same pair. The AVX2 path
+// register-blocks kDotRows rows × 3 columns: twelve accumulators, two per
+// pair in Dot's own lane layout, so each loaded element is widened once per
+// tile instead of once per pair. The scalar path is per-pair Dot.
+void DotMany(const float* const* a, std::size_t rows, const float* const* b,
+             std::size_t cols, std::size_t n, double* out, std::size_t ldo);
+
 // sum of v[i]^2 accumulated in double.
 double SumSquares(const float* v, std::size_t n);
 

@@ -11,6 +11,8 @@
 #include <random>
 #include <vector>
 
+#include "tensor/kernels.h"
+
 namespace score {
 namespace {
 
@@ -85,16 +87,64 @@ TEST(StreamingScorerTest, ReferenceReplacementInvalidatesCachedDistances) {
 }
 
 TEST(StreamingScorerTest, SelfDistanceIsExactlyZero) {
-  StreamingScorer scorer(ScorerMode::kIncremental);
   std::mt19937_64 rng(4);
   auto a = RandomVec(rng, 128);
-  const int slot = scorer.Insert(a);
-  EXPECT_EQ(scorer.PairwiseSquaredDistance(slot, slot), 0.0);
+  auto b = RandomVec(rng, 128);
+  const std::vector<float> copy = a;
+  const std::vector<double> table =
+      PairwiseSquaredDistances({a, b, copy});
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(table[i * 3 + i], 0.0);
+  }
+  // An identical copy cancels exactly, too: ‖a‖² + ‖a‖² − 2⟨a, a⟩ = 0.
+  EXPECT_EQ(table[0 * 3 + 2], 0.0);
+  EXPECT_GT(table[0 * 3 + 1], 0.0);
+}
+
+// Under both kernel ISAs, for buffers that leave ragged row pairs and column
+// triples, each entry of the table equals the per-pair formula.
+TEST(PairwiseSquaredDistancesTest, MatchesPerPairFormulaUnderBothIsas) {
+  namespace kernels = tensor::kernels;
+  std::mt19937_64 rng(5);
+  for (kernels::Isa isa : {kernels::Isa::kScalar, kernels::Isa::kAvx2}) {
+    kernels::ForceIsa(isa);
+    for (std::size_t n : {1u, 2u, 3u, 7u, 12u, 31u}) {
+      for (std::size_t dim : {9u, 4538u}) {
+        std::vector<std::vector<float>> storage;
+        std::vector<std::span<const float>> deltas;
+        for (std::size_t i = 0; i < n; ++i) {
+          storage.push_back(RandomVec(rng, dim));
+        }
+        for (const auto& v : storage) {
+          deltas.push_back(v);
+        }
+        const std::vector<double> table = PairwiseSquaredDistances(deltas);
+        ASSERT_EQ(table.size(), n * n);
+        for (std::size_t i = 0; i < n; ++i) {
+          for (std::size_t j = 0; j < n; ++j) {
+            double expected = 0.0;
+            if (i != j) {
+              const double d2 =
+                  kernels::SumSquares(deltas[i].data(), dim) +
+                  kernels::SumSquares(deltas[j].data(), dim) -
+                  2.0 * kernels::Dot(deltas[i].data(), deltas[j].data(), dim);
+              expected = d2 > 0.0 ? d2 : 0.0;
+            }
+            ASSERT_EQ(table[i * n + j], expected)
+                << "n " << n << " dim " << dim << " at (" << i << ", " << j
+                << ")";
+          }
+        }
+      }
+    }
+  }
+  kernels::ResetForcedIsa();
 }
 
 // The tentpole property: drive exact and incremental scorers through the
 // same randomized mutation sequence and demand bit equality on every query
-// after every mutation.
+// after every mutation; the pairwise table over the live buffer must match
+// the per-pair formula over kernels::Dot at every step as well.
 TEST(StreamingScorerPropertyTest, IncrementalMatchesExactOnRandomSequences) {
   constexpr std::size_t kDim = 48;
   constexpr std::size_t kRefs = 4;
@@ -140,19 +190,33 @@ TEST(StreamingScorerPropertyTest, IncrementalMatchesExactOnRandomSequences) {
       }
 
       ASSERT_EQ(exact.size(), incremental.size());
+      std::vector<std::span<const float>> deltas;
+      for (int a : live) {
+        deltas.push_back(storage[a]);
+      }
+      const std::vector<double> table =
+          PairwiseSquaredDistances(deltas);
+      const std::size_t n = live.size();
+      for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = 0; j < n; ++j) {
+          double expected = 0.0;
+          if (i != j) {
+            const double d2 =
+                exact.SquaredNorm(live[i]) + exact.SquaredNorm(live[j]) -
+                2.0 * tensor::kernels::Dot(deltas[i].data(), deltas[j].data(),
+                                           kDim);
+            expected = d2 > 0.0 ? d2 : 0.0;
+          }
+          ASSERT_EQ(table[i * n + j], expected)
+              << "seed " << seed << " step " << step;
+        }
+      }
       for (int a : live) {
         ASSERT_EQ(incremental.SquaredNorm(a), exact.SquaredNorm(a))
             << "seed " << seed << " step " << step;
         for (std::size_t k = 0; k < kRefs; ++k) {
           ASSERT_EQ(incremental.DistanceToReference(k, a),
                     exact.DistanceToReference(k, a))
-              << "seed " << seed << " step " << step;
-        }
-        for (int b : live) {
-          ASSERT_EQ(incremental.Dot(a, b), exact.Dot(a, b))
-              << "seed " << seed << " step " << step;
-          ASSERT_EQ(incremental.PairwiseSquaredDistance(a, b),
-                    exact.PairwiseSquaredDistance(a, b))
               << "seed " << seed << " step " << step;
         }
       }
