@@ -17,7 +17,9 @@
 // Part 2 keeps the historical defense-comparison table: median
 // Defense::Process() latency for AsyncFilter, FLDetector and Multi-Krum on
 // a 40-update buffer. Multi-Krum also runs at buffer 300, the
-// wide_multikrum e2e workload's buffer.
+// wide_multikrum e2e workload's buffer, twice: serially and lent a 3-thread
+// pool (FilterContext::pool, as the simulation lends its 3 training
+// threads); the record carries the pooled lane's speedup.
 //
 // Emits BENCH_defense.json (folded into bench_results/trajectory.jsonl by
 // tools/collect_bench.py). `--smoke` shrinks sample counts for CI;
@@ -42,6 +44,7 @@
 #include "score/warm_kmeans.h"
 #include "util/flags.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace {
 
@@ -194,17 +197,20 @@ struct ProcessResult {
   std::string defense;
   std::size_t buffer = 0;
   std::size_t dim = 0;
+  std::size_t threads = 0;  // lent pool's size; 0 = serial
   double p50_us = 0.0;
 };
 
 ProcessResult RunProcess(defense::Defense& defense, const char* name,
-                         std::size_t count, std::size_t dim, bool smoke) {
+                         std::size_t count, std::size_t dim, bool smoke,
+                         util::ThreadPool* pool = nullptr) {
   auto buffer = MakeBuffer(count, dim, 42);
   std::vector<float> global(dim, 0.0f);
   auto rng = util::RngFactory(1).Stream("server");
   defense::FilterContext ctx;
   ctx.global_model = global;
   ctx.rng = &rng;
+  ctx.pool = pool;
 
   const std::size_t rounds = smoke ? 6 : 20;
   std::vector<double> times;
@@ -223,9 +229,11 @@ ProcessResult RunProcess(defense::Defense& defense, const char* name,
   result.defense = name;
   result.buffer = count;
   result.dim = dim;
+  result.threads = pool ? pool->size() : 0;
   result.p50_us = Percentile(times, 0.50);
-  std::printf("  %-12s buffer %4zu dim %6zu  p50 %10.1f us\n",
-              result.defense.c_str(), count, dim, result.p50_us);
+  std::printf("  %-12s buffer %4zu dim %6zu threads %zu  p50 %10.1f us\n",
+              result.defense.c_str(), count, dim, result.threads,
+              result.p50_us);
   return result;
 }
 
@@ -289,10 +297,18 @@ int main(int argc, char** argv) {
     defense::FlDetector detector;
     process.push_back(RunProcess(detector, "fldetector", 40, dim, smoke));
   }
+  double pool_speedup_300 = 0.0;
   {
     defense::Krum krum(0.2, /*multi=*/true);
     process.push_back(RunProcess(krum, "multikrum", 40, dim, smoke));
     process.push_back(RunProcess(krum, "multikrum", 300, dim, smoke));
+    util::ThreadPool pool(3);
+    process.push_back(RunProcess(krum, "multikrum", 300, dim, smoke, &pool));
+    const double pooled = process.back().p50_us;
+    const double serial = process[process.size() - 2].p50_us;
+    pool_speedup_300 = pooled > 0.0 ? serial / pooled : 0.0;
+    std::printf("multikrum@300 pooled speedup %.2fx (3 threads)\n",
+                pool_speedup_300);
   }
 
   obs::JsonWriter json;
@@ -304,6 +320,7 @@ int main(int argc, char** argv) {
   json.Key("speedup_target_met").Bool(speedup_met);
   json.Key("incremental_p95_4096_us").Number(incremental_4096_p95);
   json.Key("p95_sub_ms").Bool(p95_sub_ms);
+  json.Key("multikrum_300_pool_speedup").Number(pool_speedup_300);
   json.Key("lanes").BeginArray();
   for (const LaneResult& lane : lanes) {
     json.BeginObject();
@@ -321,6 +338,7 @@ int main(int argc, char** argv) {
     json.Key("defense").String(r.defense);
     json.Key("buffer").UInt(r.buffer);
     json.Key("dim").UInt(r.dim);
+    json.Key("threads").UInt(r.threads);
     json.Key("p50_us").Number(r.p50_us);
     json.EndObject();
   }

@@ -17,6 +17,10 @@
 #include "fl/types.h"
 #include "util/serial.h"
 
+namespace util {
+class ThreadPool;
+}  // namespace util
+
 namespace defense {
 
 // What the server legitimately knows at aggregation time. Note there is no
@@ -34,6 +38,10 @@ struct FilterContext {
   // pass it through to WeightedAverage so the whole system is consistent).
   StalenessWeightingConfig staleness_weighting;
   std::mt19937_64* rng = nullptr;
+  // The server's training pool, idle while Process runs, lent for fan-out
+  // whose result does not depend on it. Null when training runs behind a
+  // caller backend (tcp); defenses then run serially.
+  util::ThreadPool* pool = nullptr;
 };
 
 enum class Verdict { kAccepted, kDeferred, kRejected };

@@ -5,6 +5,7 @@
 
 #include "score/scorer.h"
 #include "util/check.h"
+#include "util/thread_pool.h"
 
 namespace defense {
 
@@ -28,21 +29,25 @@ AggregationResult Krum::Process(const FilterContext& context,
   }
   const std::size_t neighbours = n - m - 2;
 
-  // One dense pass over the buffer (score/scorer.h).
+  // One dense pass over the buffer (score/scorer.h), then each row's score
+  // on its own; both fan out over the lent pool, if any.
   const std::vector<double> d2 =
-      score::PairwiseSquaredDistances(Deltas(updates));
+      score::PairwiseSquaredDistances(Deltas(updates), context.pool);
   std::vector<double> scores(n, 0.0);
-  std::vector<double> row(n - 1);
-  for (std::size_t i = 0; i < n; ++i) {
-    std::size_t w = 0;
-    for (std::size_t j = 0; j < n; ++j) {
-      if (j != i) {
-        row[w++] = d2[i * n + j];
+  util::ParallelStrided(context.pool, n, [&](std::size_t first,
+                                             std::size_t stride) {
+    std::vector<double> row(n - 1);
+    for (std::size_t i = first; i < n; i += stride) {
+      std::size_t w = 0;
+      for (std::size_t j = 0; j < n; ++j) {
+        if (j != i) {
+          row[w++] = d2[i * n + j];
+        }
       }
+      std::partial_sort(row.begin(), row.begin() + neighbours, row.end());
+      scores[i] = std::accumulate(row.begin(), row.begin() + neighbours, 0.0);
     }
-    std::partial_sort(row.begin(), row.begin() + neighbours, row.end());
-    scores[i] = std::accumulate(row.begin(), row.begin() + neighbours, 0.0);
-  }
+  });
 
   std::vector<std::size_t> order(n);
   std::iota(order.begin(), order.end(), 0u);

@@ -16,16 +16,17 @@ NearestNeighborMixing::NearestNeighborMixing(double assumed_malicious_fraction)
 }
 
 AggregationResult NearestNeighborMixing::Process(
-    const FilterContext& /*context*/,
+    const FilterContext& context,
     const std::vector<fl::ModelUpdate>& updates) {
   AF_CHECK(!updates.empty());
   const std::size_t n = updates.size();
   const std::size_t m = static_cast<std::size_t>(fraction_ * static_cast<double>(n));
   const std::size_t mix = n > m + 1 ? n - m - 1 : n - 1;  // neighbours mixed in
 
-  // One dense pass over the buffer (score/scorer.h).
+  // One dense pass over the buffer (score/scorer.h), on the lent pool if
+  // any; the per-row mixing below stays serial.
   const std::vector<double> d2 =
-      score::PairwiseSquaredDistances(Deltas(updates));
+      score::PairwiseSquaredDistances(Deltas(updates), context.pool);
   std::vector<std::vector<float>> mixed;
   mixed.reserve(n);
   std::vector<std::size_t> order(n);

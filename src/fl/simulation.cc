@@ -53,6 +53,7 @@ Simulation::Simulation(ExperimentSpec spec)
         std::move(spec.clients), spec.pool, config_.seed, config_.local,
         codec);
     backend_ = owned_backend_.get();
+    pool_ = spec.pool;
     if (codec != nullptr && codec->broadcast_safe()) {
       checkpoint_codec_ = codec;
     }
@@ -288,6 +289,7 @@ SimulationResult Simulation::Run() {
     ctx.max_staleness = config_.staleness_limit;
     ctx.staleness_weighting = config_.staleness_weighting;
     ctx.rng = &server_rng_;
+    ctx.pool = pool_;  // idle: this round's Train has returned
     std::vector<float> server_ref;
     if (defense_->RequiresServerReference()) {
       server_ref = ServerReferenceUpdate();

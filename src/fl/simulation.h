@@ -70,7 +70,8 @@ struct SimulationConfig {
 //   * `backend` — a caller-owned TrainBackend that outlives the simulation
 //     (the tcp transport uses this), with `clients` empty; or
 //   * `clients` + `pool` — the simulation owns an InprocBackend over the
-//     clients, executed on the caller-owned thread pool.
+//     clients, executed on the caller-owned thread pool; the defense
+//     borrows the same pool while it runs (FilterContext::pool).
 // `malicious_ids` route their reports through `attack`; `defense` decides
 // aggregation; `server_root` may be empty unless the defense declares
 // RequiresServerReference().
@@ -180,6 +181,9 @@ class Simulation {
   nn::ModelSpec spec_;  // copied: the simulation outlives caller temporaries
   std::unique_ptr<TrainBackend> owned_backend_;  // inproc convenience form
   TrainBackend* backend_ = nullptr;
+  // The clients form's training pool, lent to the defense between Train
+  // calls; null in the backend form.
+  util::ThreadPool* pool_ = nullptr;
   // Codec for checkpoint model-pool blocks (registry singleton; null →
   // raw AFPM). LoadState sniffs, so it accepts either form regardless.
   const compress::Codec* checkpoint_codec_ = nullptr;

@@ -4,30 +4,13 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
-#include <functional>
 #include <limits>
 
 #include "tensor/gemm.h"
 #include "util/check.h"
-#include "util/thread_pool.h"
 
 namespace nn {
 namespace {
-
-// Runs body(n) for every sample in the batch, fanned out over the shared
-// compute pool when one is installed (tensor::SetComputePool). Every body
-// writes a disjoint slice, so the fan-out is deterministic.
-void ForEachSample(std::size_t batch,
-                   const std::function<void(std::size_t)>& body) {
-  util::ThreadPool* pool = tensor::ComputePool();
-  if (pool != nullptr && batch > 1) {
-    pool->ParallelFor(batch, body);
-  } else {
-    for (std::size_t n = 0; n < batch; ++n) {
-      body(n);
-    }
-  }
-}
 
 // Copies the n floats of one short image row with fixed-size moves the
 // compiler inlines: a library memcpy call per 8-float row costs more than
@@ -288,9 +271,9 @@ tensor::Tensor Conv2d::Forward(const tensor::Tensor& input) {
   if (cols_.size() < g.patch * g.ld) {
     cols_.resize(g.patch * g.ld);
   }
-  ForEachSample(g.batch, [&](std::size_t n) {
+  for (std::size_t n = 0; n < g.batch; ++n) {
     Im2ColSample(input, n, g.h, g.w, cols_.data() + n * g.howo, g.ld);
-  });
+  }
 
   // out_flat (out × N·Ho·Wo) = W (out × patch) · cols (patch × N·Ho·Wo):
   // one GEMM for the whole batch.
@@ -299,7 +282,7 @@ tensor::Tensor Conv2d::Forward(const tensor::Tensor& input) {
   }
   tensor::Sgemm(tensor::Op::kNone, tensor::Op::kNone, out_channels_, g.ld,
                 g.patch, weight_.data().data(), g.patch, cols_.data(), g.ld,
-                out_flat_.data(), g.ld, nullptr, 0.0f, tensor::ComputePool());
+                out_flat_.data(), g.ld);
 
   // Epilogue: channel-major GEMM output → NCHW, plus bias (and ReLU, pool).
   const std::size_t out_map = pool ? g.howo / 4 : g.howo;
@@ -311,7 +294,7 @@ tensor::Tensor Conv2d::Forward(const tensor::Tensor& input) {
   }
   float* po = out.data().data();
   const float* pb = bias_.data().data();
-  ForEachSample(g.batch, [&](std::size_t n) {
+  for (std::size_t n = 0; n < g.batch; ++n) {
     for (std::size_t oc = 0; oc < out_channels_; ++oc) {
       const float* s = out_flat_.data() + oc * g.ld + n * g.howo;
       const std::size_t at = (n * out_channels_ + oc) * out_map;
@@ -327,7 +310,7 @@ tensor::Tensor Conv2d::Forward(const tensor::Tensor& input) {
           break;
       }
     }
-  });
+  }
   return out;
 }
 
@@ -348,7 +331,7 @@ void Conv2d::AccumulateGrads(const tensor::Tensor& grad_output) {
   }
   const std::size_t out_map = pool ? g.howo / 4 : g.howo;
   const float* pg = grad_output.data().data();
-  ForEachSample(g.batch, [&](std::size_t n) {
+  for (std::size_t n = 0; n < g.batch; ++n) {
     for (std::size_t oc = 0; oc < out_channels_; ++oc) {
       float* d = gout_flat_.data() + oc * g.ld + n * g.howo;
       const std::size_t at = (n * out_channels_ + oc) * out_map;
@@ -364,7 +347,7 @@ void Conv2d::AccumulateGrads(const tensor::Tensor& grad_output) {
           break;
       }
     }
-  });
+  }
 
   // Bias gradient: per-channel sum of the gradient maps (double
   // accumulation, ascending sample-major order). The channels' sums advance
@@ -386,8 +369,7 @@ void Conv2d::AccumulateGrads(const tensor::Tensor& grad_output) {
   // dW (out × patch) += gout_flat · colsᵀ, accumulated in place.
   tensor::Sgemm(tensor::Op::kNone, tensor::Op::kTranspose, out_channels_,
                 g.patch, g.ld, gout_flat_.data(), g.ld, cols_.data(), g.ld,
-                grad_weight_.data().data(), g.patch, nullptr, 1.0f,
-                tensor::ComputePool());
+                grad_weight_.data().data(), g.patch, nullptr, 1.0f);
 }
 
 tensor::Tensor Conv2d::Backward(const tensor::Tensor& grad_output) {
@@ -400,14 +382,13 @@ tensor::Tensor Conv2d::Backward(const tensor::Tensor& grad_output) {
   }
   tensor::Sgemm(tensor::Op::kTranspose, tensor::Op::kNone, g.patch, g.ld,
                 out_channels_, weight_.data().data(), g.patch,
-                gout_flat_.data(), g.ld, dcols_.data(), g.ld, nullptr, 0.0f,
-                tensor::ComputePool());
+                gout_flat_.data(), g.ld, dcols_.data(), g.ld);
 
   // dX: scatter the patch gradients back per sample (disjoint images).
   tensor::Tensor grad_input(cached_shape_);
-  ForEachSample(g.batch, [&](std::size_t n) {
+  for (std::size_t n = 0; n < g.batch; ++n) {
     Col2ImSample(dcols_.data() + n * g.howo, g.ld, n, g.h, g.w, grad_input);
-  });
+  }
   return grad_input;
 }
 

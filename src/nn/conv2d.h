@@ -6,8 +6,7 @@
 // Forward expands the entire batch into one (C·k·k) × (N·Ho·Wo) patch
 // matrix and runs a single blocked GEMM against the weight; backward runs
 // one GEMM for dW (accumulated in place) and one for the patch gradients,
-// which col2im scatters back per sample. The per-sample im2col/col2im and
-// NCHW scatter loops fan out over tensor::ComputePool() when one is set.
+// which col2im scatters back per sample.
 //
 // Epilogue: the channel-major GEMM output is written to NCHW with the bias
 // added and, when fused, ReLU (and a 2×2 stride-2 max-pool) applied in the

@@ -6,6 +6,7 @@
 #include "obs/metrics.h"
 #include "tensor/kernels.h"
 #include "util/check.h"
+#include "util/thread_pool.h"
 
 namespace score {
 namespace {
@@ -30,7 +31,8 @@ const char* ScorerModeName(ScorerMode mode) {
 }
 
 std::vector<double> PairwiseSquaredDistances(
-    const std::vector<std::span<const float>>& deltas) {
+    const std::vector<std::span<const float>>& deltas,
+    util::ThreadPool* pool) {
   namespace kernels = tensor::kernels;
   const std::size_t n = deltas.size();
   std::vector<const float*> rows(n);
@@ -41,20 +43,28 @@ std::vector<double> PairwiseSquaredDistances(
   const std::size_t dim = n == 0 ? 0 : deltas[0].size();
   // Upper triangle first (dots), then the formula in place. Rows go in
   // blocks of kDotRows, DotMany's full tile height: each block's norms, its
-  // in-block pairs and then every later column in one DotMany call.
+  // in-block pairs and then every later column in one DotMany call. A block
+  // writes only its own rows' norms and upper-triangle entries, so the
+  // blocks fan out over `pool` (interleaved: early blocks hold the longest
+  // rows) with every entry written by exactly one thread.
   std::vector<double> norms(n);
   std::vector<double> d2(n * n, 0.0);
-  for (std::size_t i = 0; i < n; i += kernels::kDotRows) {
-    const std::size_t count = std::min(kernels::kDotRows, n - i);
-    for (std::size_t r = i; r < i + count; ++r) {
-      norms[r] = kernels::SumSquares(rows[r], dim);
-      for (std::size_t c = r + 1; c < i + count; ++c) {
-        d2[r * n + c] = kernels::Dot(rows[r], rows[c], dim);
+  const std::size_t blocks = (n + kernels::kDotRows - 1) / kernels::kDotRows;
+  util::ParallelStrided(pool, blocks, [&](std::size_t first,
+                                          std::size_t stride) {
+    for (std::size_t b = first; b < blocks; b += stride) {
+      const std::size_t i = b * kernels::kDotRows;
+      const std::size_t count = std::min(kernels::kDotRows, n - i);
+      for (std::size_t r = i; r < i + count; ++r) {
+        norms[r] = kernels::SumSquares(rows[r], dim);
+        for (std::size_t c = r + 1; c < i + count; ++c) {
+          d2[r * n + c] = kernels::Dot(rows[r], rows[c], dim);
+        }
       }
+      kernels::DotMany(rows.data() + i, count, rows.data() + i + count,
+                       n - i - count, dim, d2.data() + i * n + i + count, n);
     }
-    kernels::DotMany(rows.data() + i, count, rows.data() + i + count,
-                     n - i - count, dim, d2.data() + i * n + i + count, n);
-  }
+  });
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = i + 1; j < n; ++j) {
       const double d =

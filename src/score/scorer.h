@@ -17,8 +17,8 @@
 // and differ only in work — the property the tests in tests/score/ pin down.
 //
 // PairwiseSquaredDistances serves the second: one dense n × n pass through
-// the register-blocked tensor::kernels::DotMany, with each entry
-// bit-identical to the per-pair formula.
+// the register-blocked tensor::kernels::DotMany, optionally fanned out over
+// a thread pool, with each entry bit-identical to the per-pair formula.
 //
 // Modes (default incremental):
 //   exact        no caching; every query recomputes. The test oracle.
@@ -43,6 +43,10 @@ class Counter;
 class Gauge;
 }  // namespace obs
 
+namespace util {
+class ThreadPool;
+}  // namespace util
+
 namespace score {
 
 enum class ScorerMode { kExact, kIncremental };
@@ -52,9 +56,12 @@ const char* ScorerModeName(ScorerMode mode);
 // Row-major n × n table of d²(deltas[i], deltas[j]) (formula above), exactly
 // 0 on the diagonal and symmetric to the bit. Norms come from SumSquares and
 // dots from DotMany, so every entry equals the per-pair formula over
-// kernels::Dot. Every delta must have the same size.
+// kernels::Dot. Every delta must have the same size. A non-null `pool`
+// spreads the row blocks over its workers; the table is the same bytes with
+// or without it.
 std::vector<double> PairwiseSquaredDistances(
-    const std::vector<std::span<const float>>& deltas);
+    const std::vector<std::span<const float>>& deltas,
+    util::ThreadPool* pool = nullptr);
 
 class StreamingScorer {
  public:

@@ -33,8 +33,6 @@ constexpr std::size_t kNc = 2048;
 // row panel is at most kRowsOuterMaxK·kNc floats (128 KB), L2-resident.
 constexpr std::size_t kRowsOuterMaxK = 16;
 
-std::atomic<util::ThreadPool*> g_compute_pool{nullptr};
-
 std::size_t RoundUp(std::size_t x, std::size_t to) {
   return (x + to - 1) / to * to;
 }
@@ -288,15 +286,7 @@ void Gemm(Op op_a, Op op_b, const Tensor& a, const Tensor& b, Tensor& c,
   AF_CHECK_EQ(c.dim(1), n);
   AF_CHECK(bias == nullptr || beta == 0.0f) << "bias requires beta == 0";
   Sgemm(op_a, op_b, m, n, k, a.data().data(), a.dim(1), b.data().data(),
-        b.dim(1), c.data().data(), n, bias, beta, ComputePool());
-}
-
-void SetComputePool(util::ThreadPool* pool) {
-  g_compute_pool.store(pool, std::memory_order_release);
-}
-
-util::ThreadPool* ComputePool() {
-  return g_compute_pool.load(std::memory_order_acquire);
+        b.dim(1), c.data().data(), n, bias, beta);
 }
 
 }  // namespace tensor

@@ -53,16 +53,8 @@ void Sgemm(Op op_a, Op op_b, std::size_t m, std::size_t n, std::size_t k,
            float beta = 0.0f, util::ThreadPool* pool = nullptr);
 
 // Tensor convenience wrapper: shapes are taken from the tensors (all rank
-// 2), dimension mismatches throw util::CheckError, and the shared compute
-// pool (SetComputePool) is used.
+// 2), dimension mismatches throw util::CheckError; runs serially.
 void Gemm(Op op_a, Op op_b, const Tensor& a, const Tensor& b, Tensor& c,
           const float* bias = nullptr, float beta = 0.0f);
-
-// Process-wide compute pool used by Gemm and the Conv2d batch fan-out.
-// Not owned; nullptr (the default) means serial execution. Callers that
-// already parallelise across clients should leave this unset to avoid
-// oversubscription.
-void SetComputePool(util::ThreadPool* pool);
-util::ThreadPool* ComputePool();
 
 }  // namespace tensor

@@ -1,5 +1,6 @@
 #include "util/thread_pool.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <exception>
@@ -123,6 +124,17 @@ void ThreadPool::ParallelFor(std::size_t count,
   if (first_error) {
     std::rethrow_exception(first_error);
   }
+}
+
+void ParallelStrided(ThreadPool* pool, std::size_t count,
+                     const std::function<void(std::size_t first,
+                                              std::size_t tasks)>& body) {
+  if (pool == nullptr || count < 2) {
+    body(0, 1);
+    return;
+  }
+  const std::size_t tasks = std::min(count, 4 * pool->size());
+  pool->ParallelFor(tasks, [&](std::size_t first) { body(first, tasks); });
 }
 
 }  // namespace util

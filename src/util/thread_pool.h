@@ -1,8 +1,10 @@
 // Fixed-size thread pool with a ParallelFor helper.
 //
-// Used only to parallelise independent client local-training jobs inside one
-// simulated FL round; determinism is preserved because every client draws
-// from its own pre-derived RNG stream and results are collected by index.
+// Parallelises independent client local-training jobs inside one simulated
+// FL round; determinism is preserved because every client draws from its own
+// pre-derived RNG stream and results are collected by index. Between rounds
+// the simulation lends the same, then idle, pool to the defense
+// (defense::FilterContext::pool) for its pairwise pass.
 #pragma once
 
 #include <condition_variable>
@@ -43,5 +45,15 @@ class ThreadPool {
   std::condition_variable cv_;
   bool stopping_ = false;
 };
+
+// Fan-out for indices whose work is uneven (the rows of a triangle): splits
+// [0, count) into `tasks` interleaved tasks, about four per worker of `pool`,
+// and calls body(first, tasks) for each; the task covers i = first,
+// first + tasks, ... below count. A null pool runs body(0, 1), one plain loop
+// over every index on the calling thread. Each index belongs to exactly one
+// task, so a body that writes only its own indices' outputs is deterministic.
+void ParallelStrided(ThreadPool* pool, std::size_t count,
+                     const std::function<void(std::size_t first,
+                                              std::size_t tasks)>& body);
 
 }  // namespace util

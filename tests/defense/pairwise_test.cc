@@ -15,6 +15,7 @@
 #include "stats/vec_ops.h"
 #include "tensor/kernels.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace defense {
 namespace {
@@ -129,23 +130,34 @@ void ExpectSame(const AggregationResult& got, const AggregationResult& want,
 }
 
 // n = 1…12 crosses Krum's n < m + 3 fallback, NNM's small-buffer mix, and
-// ragged row pairs and column triples of the blocked kernel.
+// ragged row pairs and column triples of the blocked kernel; n = 41 gives a
+// 3-thread pool more row blocks than tasks. Each defense runs serially and
+// with a lent pool (FilterContext::pool), and both must follow the rule.
 TEST(PairwiseDefenseTest, MatchesRulesOverPerPairTable) {
-  for (std::size_t n = 1; n <= 12; ++n) {
+  util::ThreadPool pool(3);
+  std::vector<std::size_t> sizes(12);
+  std::iota(sizes.begin(), sizes.end(), 1u);
+  sizes.push_back(41);
+  for (std::size_t n : sizes) {
     for (std::size_t dim : {13u, 4538u}) {
       const auto updates = Buffer(n, dim, 100 + n);
-      const std::string where =
-          "n " + std::to_string(n) + " dim " + std::to_string(dim);
-      FilterContext context;
-      for (bool multi : {false, true}) {
-        Krum krum(kFraction, multi);
-        ExpectSame(krum.Process(context, updates),
-                   ReferenceKrum(updates, multi),
-                   where + (multi ? " multikrum" : " krum"));
+      for (util::ThreadPool* lent : {static_cast<util::ThreadPool*>(nullptr),
+                                     &pool}) {
+        const std::string where = "n " + std::to_string(n) + " dim " +
+                                  std::to_string(dim) +
+                                  (lent ? " pooled" : " serial");
+        FilterContext context;
+        context.pool = lent;
+        for (bool multi : {false, true}) {
+          Krum krum(kFraction, multi);
+          ExpectSame(krum.Process(context, updates),
+                     ReferenceKrum(updates, multi),
+                     where + (multi ? " multikrum" : " krum"));
+        }
+        NearestNeighborMixing nnm(kFraction);
+        ExpectSame(nnm.Process(context, updates), ReferenceNnm(updates),
+                   where + " nnm");
       }
-      NearestNeighborMixing nnm(kFraction);
-      ExpectSame(nnm.Process(context, updates), ReferenceNnm(updates),
-                 where + " nnm");
     }
   }
 }

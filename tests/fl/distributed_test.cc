@@ -10,11 +10,13 @@
 #include <string_view>
 #include <thread>
 
+#include "defense/defense.h"
 #include "fl/experiment.h"
 #include "net/frame.h"
 #include "net/socket.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "util/thread_pool.h"
 
 namespace fl {
 namespace {
@@ -39,21 +41,67 @@ TEST(DistributedTest, TcpMatchesInprocUnderLieAttack) {
   // run under the LIE attack must reach the same accuracy over TCP as in
   // process. Scheduling, attack crafting, and RNG streams all live on the
   // server side, so with a quiet wire the runs are bit-identical — the
-  // tolerance below is pure paranoia, not an expected gap.
-  ExperimentConfig config = SmallConfig(61);
-  config.attack = attacks::AttackKind::kLie;
-  config.defense = DefenseKind::kAsyncFilter;
+  // tolerance below is pure paranoia, not an expected gap. Multi-Krum runs
+  // its pairwise pass on the lent training pool in process and serially
+  // over tcp, so its run pins that the pool changes no bit either.
+  for (DefenseKind defense : {DefenseKind::kAsyncFilter,
+                              DefenseKind::kMultiKrum}) {
+    SCOPED_TRACE(DefenseKindName(defense));
+    ExperimentConfig config = SmallConfig(61);
+    config.attack = attacks::AttackKind::kLie;
+    config.defense = defense;
 
-  config.transport = TransportKind::kInproc;
-  const SimulationResult inproc = RunExperiment(config);
+    config.transport = TransportKind::kInproc;
+    const SimulationResult inproc = RunExperiment(config);
 
-  config.transport = TransportKind::kTcp;
-  const SimulationResult tcp = RunExperiment(config);
+    config.transport = TransportKind::kTcp;
+    const SimulationResult tcp = RunExperiment(config);
 
-  ASSERT_EQ(tcp.rounds.size(), inproc.rounds.size());
-  EXPECT_NEAR(tcp.final_accuracy, inproc.final_accuracy, 1e-6);
-  EXPECT_EQ(tcp.final_model, inproc.final_model);  // bit-exact
-  EXPECT_EQ(tcp.evicted_clients, 0u);
+    ASSERT_EQ(tcp.rounds.size(), inproc.rounds.size());
+    EXPECT_NEAR(tcp.final_accuracy, inproc.final_accuracy, 1e-6);
+    EXPECT_EQ(tcp.final_model, inproc.final_model);  // bit-exact
+    EXPECT_EQ(tcp.evicted_clients, 0u);
+  }
+}
+
+TEST(DistributedTest, OnlyInprocLendsTheTrainingPool) {
+  // In process the defense borrows the simulation's idle training pool;
+  // over tcp training runs in other processes and the defense runs serially.
+  class PoolProbe : public defense::NoDefense {
+   public:
+    explicit PoolProbe(std::vector<util::ThreadPool*>* seen) : seen_(seen) {}
+    defense::AggregationResult Process(
+        const defense::FilterContext& context,
+        const std::vector<ModelUpdate>& updates) override {
+      seen_->push_back(context.pool);
+      return NoDefense::Process(context, updates);
+    }
+
+   private:
+    std::vector<util::ThreadPool*>* seen_;
+  };
+  for (TransportKind transport : {TransportKind::kInproc,
+                                  TransportKind::kTcp}) {
+    const bool inproc = transport == TransportKind::kInproc;
+    SCOPED_TRACE(inproc ? "inproc" : "tcp");
+    std::vector<util::ThreadPool*> seen;
+    ExperimentConfig config = SmallConfig(65);
+    config.sim.rounds = 3;
+    config.transport = transport;
+    config.defense_factory = [&seen] {
+      return std::make_unique<PoolProbe>(&seen);
+    };
+    RunExperiment(config);
+    ASSERT_EQ(seen.size(), 3u);
+    for (util::ThreadPool* pool : seen) {
+      if (inproc) {
+        ASSERT_NE(pool, nullptr);
+        EXPECT_EQ(pool->size(), config.threads);
+      } else {
+        EXPECT_EQ(pool, nullptr);
+      }
+    }
+  }
 }
 
 TEST(DistributedTest, SurvivesFaultyWireWithSameResult) {

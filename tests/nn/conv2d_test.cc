@@ -8,10 +8,8 @@
 
 #include "nn/maxpool2d.h"
 #include "nn/relu.h"
-#include "tensor/gemm.h"
 #include "util/check.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace nn {
 namespace {
@@ -424,34 +422,6 @@ TEST(Conv2dFusedTest, MatchesReferenceStackBitForBit) {
   EXPECT_EQ(cases, 80);
 }
 
-TEST(Conv2dFusedTest, ComputePoolFanOutMatchesSerialBitForBit) {
-  // With a compute pool installed, the per-sample loops (and the pooling
-  // epilogue's per-thread scratch) run on pool threads.
-  auto run = [](util::ThreadPool* pool) {
-    tensor::SetComputePool(pool);
-    auto rng = Rng(21);
-    Conv2d conv(2, 4, 3, 1, ConvEpilogue::kReluMaxPool2, rng);
-    tensor::Tensor x({9, 2, 6, 8});
-    x.FillNormal(0.0f, 1.0f, rng);
-    std::vector<float> bytes = conv.Forward(x).vec();
-    tensor::Tensor grad_out({9, 4, 3, 4});
-    grad_out.FillNormal(0.0f, 1.0f, rng);
-    const tensor::Tensor dx = conv.Backward(grad_out);
-    bytes.insert(bytes.end(), dx.vec().begin(), dx.vec().end());
-    for (tensor::Tensor* g : conv.Grads()) {
-      bytes.insert(bytes.end(), g->vec().begin(), g->vec().end());
-    }
-    tensor::SetComputePool(nullptr);
-    return bytes;
-  };
-  util::ThreadPool pool(3);
-  const std::vector<float> serial = run(nullptr);
-  const std::vector<float> pooled = run(&pool);
-  ASSERT_EQ(serial.size(), pooled.size());
-  EXPECT_EQ(std::memcmp(serial.data(), pooled.data(),
-                        serial.size() * sizeof(float)),
-            0);
-}
 
 TEST(Conv2dFusedTest, AllNaNWindowPassesItsGradientToSlotZero) {
   // A 1×1 identity conv makes the pre-activations equal the input, so the

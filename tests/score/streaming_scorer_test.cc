@@ -7,11 +7,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <map>
+#include <numeric>
 #include <random>
 #include <vector>
 
 #include "tensor/kernels.h"
+#include "util/thread_pool.h"
 
 namespace score {
 namespace {
@@ -102,18 +106,32 @@ TEST(StreamingScorerTest, SelfDistanceIsExactlyZero) {
 }
 
 // Under both kernel ISAs, for buffers that leave ragged row pairs and column
-// triples, each entry of the table equals the per-pair formula.
+// triples, each entry of the table equals the per-pair formula (a NaN
+// distance lands as 0), and lent a 1- or 3-thread pool the table is the same
+// bytes: n = 300, the wide Multi-Krum buffer, gives every task of the
+// 3-thread pool several interleaved row blocks.
 TEST(PairwiseSquaredDistancesTest, MatchesPerPairFormulaUnderBothIsas) {
   namespace kernels = tensor::kernels;
+  util::ThreadPool one(1);
+  util::ThreadPool three(3);
   std::mt19937_64 rng(5);
+  std::vector<std::size_t> sizes(13);
+  std::iota(sizes.begin(), sizes.end(), 0u);
+  sizes.push_back(31);
+  sizes.push_back(300);
   for (kernels::Isa isa : {kernels::Isa::kScalar, kernels::Isa::kAvx2}) {
     kernels::ForceIsa(isa);
-    for (std::size_t n : {1u, 2u, 3u, 7u, 12u, 31u}) {
-      for (std::size_t dim : {9u, 4538u}) {
+    for (std::size_t n : sizes) {
+      for (std::size_t dim : {1u, 7u, 9u, 4538u}) {
         std::vector<std::vector<float>> storage;
         std::vector<std::span<const float>> deltas;
+        std::vector<double> norms;
         for (std::size_t i = 0; i < n; ++i) {
           storage.push_back(RandomVec(rng, dim));
+          if (i % 5 == 3) {  // NaN rows and columns in the table
+            storage.back()[i % dim] = std::numeric_limits<float>::quiet_NaN();
+          }
+          norms.push_back(kernels::SumSquares(storage.back().data(), dim));
         }
         for (const auto& v : storage) {
           deltas.push_back(v);
@@ -125,8 +143,7 @@ TEST(PairwiseSquaredDistancesTest, MatchesPerPairFormulaUnderBothIsas) {
             double expected = 0.0;
             if (i != j) {
               const double d2 =
-                  kernels::SumSquares(deltas[i].data(), dim) +
-                  kernels::SumSquares(deltas[j].data(), dim) -
+                  norms[i] + norms[j] -
                   2.0 * kernels::Dot(deltas[i].data(), deltas[j].data(), dim);
               expected = d2 > 0.0 ? d2 : 0.0;
             }
@@ -134,6 +151,15 @@ TEST(PairwiseSquaredDistancesTest, MatchesPerPairFormulaUnderBothIsas) {
                 << "n " << n << " dim " << dim << " at (" << i << ", " << j
                 << ")";
           }
+        }
+        for (util::ThreadPool* pool : {&one, &three}) {
+          const std::vector<double> pooled =
+              PairwiseSquaredDistances(deltas, pool);
+          ASSERT_EQ(pooled.size(), n * n);
+          ASSERT_EQ(std::memcmp(pooled.data(), table.data(),
+                                n * n * sizeof(double)),
+                    0)
+              << "n " << n << " dim " << dim << " pool " << pool->size();
         }
       }
     }

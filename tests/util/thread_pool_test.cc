@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace util {
@@ -82,6 +84,39 @@ TEST(ThreadPoolTest, SingleThreadPoolStillCompletes) {
   std::atomic<int> count{0};
   pool.ParallelFor(100, [&](std::size_t) { count++; });
   EXPECT_EQ(count.load(), 100);
+}
+
+TEST(ParallelStridedTest, EveryIndexBelongsToExactlyOneTask) {
+  ThreadPool one(1);
+  ThreadPool three(3);
+  const std::thread::id caller = std::this_thread::get_id();
+  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &one, &three}) {
+    const std::size_t workers = pool ? pool->size() : 0;
+    for (std::size_t count : {0u, 1u, 2u, 5u, 12u, 13u, 150u}) {
+      std::vector<std::atomic<int>> visits(count);
+      std::atomic<std::size_t> task_count{0};
+      ParallelStrided(pool, count, [&](std::size_t first, std::size_t tasks) {
+        if (pool == nullptr) {
+          EXPECT_EQ(std::this_thread::get_id(), caller);
+        }
+        task_count++;
+        for (std::size_t i = first; i < count; i += tasks) {
+          visits[i]++;
+        }
+      });
+      // Null pool (or nothing to split): one task on the calling thread;
+      // else about four per worker, never more than there are indices.
+      const std::size_t want = pool == nullptr || count < 2
+                                   ? 1
+                                   : std::min(count, 4 * workers);
+      EXPECT_EQ(task_count.load(), want)
+          << "workers " << workers << " count " << count;
+      for (std::size_t i = 0; i < count; ++i) {
+        EXPECT_EQ(visits[i].load(), 1)
+            << "workers " << workers << " count " << count << " index " << i;
+      }
+    }
+  }
 }
 
 }  // namespace
