@@ -25,8 +25,8 @@ std::size_t InprocBackend::NumSamples(int client_id) const {
   return clients_[static_cast<std::size_t>(client_id)]->num_samples();
 }
 
-std::vector<net::UpdateView> InprocBackend::Train(
-    const std::vector<TrainJob>& jobs) {
+std::vector<net::UpdateView> InprocBackend::TrainAlongside(
+    const std::vector<TrainJob>& jobs, const std::function<void()>& meanwhile) {
   // Same-client jobs share a model instance; serialise them into waves so
   // each wave touches each client at most once.
   std::vector<std::vector<std::size_t>> waves;
@@ -44,8 +44,14 @@ std::vector<net::UpdateView> InprocBackend::Train(
   // Mirror of the wire's downlink policy: broadcast-safe codecs compress
   // full params, delta-only codecs fall back to identity for the base.
   const bool lossy_downlink = codec_ != nullptr && codec_->broadcast_safe();
-  for (const auto& wave : waves) {
+  // `meanwhile` rides on the first wave; with no jobs it runs here.
+  if (waves.empty() && meanwhile) {
+    meanwhile();
+  }
+  const std::function<void()> nothing;
+  for (std::size_t v = 0; v < waves.size(); ++v) {
     AF_TRACE_SPAN("train.wave");
+    const std::vector<std::size_t>& wave = waves[v];
     pool_->ParallelFor(wave.size(), [&](std::size_t w) {
       AF_TRACE_SPAN("train.job");
       const std::size_t j = wave[w];
@@ -65,7 +71,7 @@ std::vector<net::UpdateView> InprocBackend::Train(
           lossy_downlink ? compress::RoundTrip(*codec_, *job.base) : *job.base;
       std::vector<float> delta = clients_[cid]->TrainOnce(base, local_, rng);
       honest[j] = compress::RoundTrip(*codec_, delta, &feedback_[cid]);
-    });
+    }, v == 0 ? meanwhile : nothing);
   }
   // Inproc jobs never serialize: every delta view takes ownership of the
   // trained vector directly, zero copies per update.

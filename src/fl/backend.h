@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -43,6 +44,21 @@ class TrainBackend {
   // (aggregates from survivors).
   virtual std::vector<net::UpdateView> Train(
       const std::vector<TrainJob>& jobs) = 0;
+
+  // Train(jobs), plus `meanwhile` run exactly once on the calling thread
+  // before this returns. A backend that trains on other threads overrides
+  // it to run `meanwhile` while the jobs train (the inproc backend hands it
+  // to its pool's ParallelFor). The default runs it first, then Train: the
+  // serial order the simulation loop had before it could overlap the two.
+  // `meanwhile` must not touch the jobs or their results.
+  virtual std::vector<net::UpdateView> TrainAlongside(
+      const std::vector<TrainJob>& jobs,
+      const std::function<void()>& meanwhile) {
+    if (meanwhile) {
+      meanwhile();
+    }
+    return Train(jobs);
+  }
 
   virtual std::size_t ClientCount() const = 0;
   virtual std::size_t NumSamples(int client_id) const = 0;
@@ -84,7 +100,14 @@ class InprocBackend : public TrainBackend {
                 LocalTrainConfig local, const compress::Codec* codec = nullptr);
 
   std::vector<net::UpdateView> Train(
-      const std::vector<TrainJob>& jobs) override;
+      const std::vector<TrainJob>& jobs) override {
+    return TrainAlongside(jobs, {});
+  }
+  // Runs `meanwhile` on the calling thread while the first wave trains on
+  // the pool; the caller then trains beside the workers.
+  std::vector<net::UpdateView> TrainAlongside(
+      const std::vector<TrainJob>& jobs,
+      const std::function<void()>& meanwhile) override;
   std::size_t ClientCount() const override { return clients_.size(); }
   std::size_t NumSamples(int client_id) const override;
 

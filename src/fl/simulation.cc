@@ -166,6 +166,28 @@ SimulationResult Simulation::Run() {
   obs::Gauge& round_gauge = registry.GetGauge("sim.round", metric_labels);
   RunRecord& run_record = RunRecord::Global();
 
+  // Round r's accuracy is measured while round r+1 trains: the eval reads
+  // `model`, an immutable snapshot (aggregation replaces global_, never
+  // mutates it), and fills record `record` of partial_ in place. Anything
+  // that reads the records — a checkpoint, the next eval, the result —
+  // resolves it first.
+  struct PendingEval {
+    std::shared_ptr<const std::vector<float>> model;
+    std::size_t record = 0;
+  } pending;
+  auto resolve_eval = [&] {
+    if (pending.model == nullptr) {
+      return;
+    }
+    AF_TRACE_SPAN("eval.accuracy");
+    RoundRecord& record = partial_.rounds[pending.record];
+    record.test_accuracy =
+        EvaluateAccuracy(spec_, *eval_model, *pending.model, *test_set_);
+    AF_LOG(kDebug) << defense_->Name() << " round " << record.round + 1
+                   << " acc=" << record.test_accuracy;
+    pending.model = nullptr;
+  };
+
   // Kick off every client (the paper's sampler selects all 100 each round).
   // A restored run skips this: its event queue, RNG positions, and job
   // counters came out of the checkpoint.
@@ -203,14 +225,15 @@ SimulationResult Simulation::Run() {
       }
 
       // Local training for all arrivals — thread pool or wire round-trips,
-      // depending on the backend.
+      // depending on the backend. The previous round's eval rides along.
       std::vector<TrainJob> train_jobs;
       train_jobs.reserve(batch.size());
       for (const Job& job : batch) {
         train_jobs.push_back({job.client_id, job.job_index,
                               job.dispatch_round, job.base});
       }
-      const std::vector<net::UpdateView> honest = backend_->Train(train_jobs);
+      const std::vector<net::UpdateView> honest =
+          backend_->TrainAlongside(train_jobs, resolve_eval);
       AF_CHECK_EQ(honest.size(), batch.size());
 
       // Sequential report processing in arrival order (attacker coordination
@@ -406,13 +429,6 @@ SimulationResult Simulation::Run() {
     ++round_;
     buffer_ = std::move(agg.deferred);
 
-    if (round_ % config_.eval_every == 0 || round_ == config_.rounds) {
-      AF_TRACE_SPAN("eval.accuracy");
-      record.test_accuracy =
-          EvaluateAccuracy(spec_, *eval_model, *global_, *test_set_);
-      AF_LOG(kDebug) << defense_->Name() << " round " << round_
-                     << " acc=" << record.test_accuracy;
-    }
     registry.GetCounter("sim.updates_accepted", metric_labels)
         .Increment(record.accepted);
     registry.GetCounter("sim.updates_rejected", metric_labels)
@@ -422,6 +438,12 @@ SimulationResult Simulation::Run() {
     registry.GetCounter("sim.updates_dropped_stale", metric_labels)
         .Increment(record.dropped_stale);
     partial_.rounds.push_back(record);
+    // Queue this round's eval. A round whose carried-over buffer already met
+    // the goal trained nothing, so the previous one may still be pending.
+    resolve_eval();
+    if (round_ % config_.eval_every == 0 || round_ == config_.rounds) {
+      pending = {global_, partial_.rounds.size() - 1};
+    }
 
     // Checkpoint hooks — the state is at a clean round boundary here.
     const bool stop_requested =
@@ -432,6 +454,7 @@ SimulationResult Simulation::Run() {
                             round_ % checkpoint_.every == 0 &&
                             round_ < config_.rounds;
       if (stop_requested || periodic) {
+        resolve_eval();
         WriteCheckpoint();
       }
     }
@@ -445,6 +468,7 @@ SimulationResult Simulation::Run() {
     }
   }
 
+  resolve_eval();  // the last round's, or the one pending at a stop
   round_gauge.Set(static_cast<double>(round_));
   SimulationResult result = std::move(partial_);
   partial_ = SimulationResult{};

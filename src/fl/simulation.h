@@ -71,7 +71,11 @@ struct SimulationConfig {
 //     (the tcp transport uses this), with `clients` empty; or
 //   * `clients` + `pool` — the simulation owns an InprocBackend over the
 //     clients, executed on the caller-owned thread pool; the defense
-//     borrows the same pool while it runs (FilterContext::pool).
+//     borrows the same pool while it runs (FilterContext::pool). Run()'s
+//     thread trains beside the pool, and while round r+1 trains it also
+//     measures round r's test accuracy (TrainBackend::TrainAlongside). A
+//     caller backend that does not override TrainAlongside evaluates just
+//     before Train, serially.
 // `malicious_ids` route their reports through `attack`; `defense` decides
 // aggregation; `server_root` may be empty unless the defense declares
 // RequiresServerReference().

@@ -79,8 +79,12 @@ void ThreadPool::WorkerLoop() {
 }
 
 void ThreadPool::ParallelFor(std::size_t count,
-                             const std::function<void(std::size_t)>& body) {
+                             const std::function<void(std::size_t)>& body,
+                             const std::function<void()>& meanwhile) {
   if (count == 0) {
+    if (meanwhile) {
+      meanwhile();
+    }
     return;
   }
   std::atomic<std::size_t> next{0};
@@ -89,28 +93,37 @@ void ThreadPool::ParallelFor(std::size_t count,
   std::condition_variable done_cv;
   std::mutex done_mutex;
 
-  // One task per worker; each pulls indices until exhausted. This keeps the
-  // queue small and balances uneven per-client training times. The waiter
-  // blocks until every shard has fully exited, so no shard can touch these
-  // stack-local synchronisation objects after ParallelFor returns.
+  auto record_error = [&] {
+    std::lock_guard<std::mutex> lock(error_mutex);
+    if (!first_error) {
+      first_error = std::current_exception();
+    }
+  };
+  // Pulls indices until exhausted. Shards and the caller share one counter,
+  // so every index runs exactly once whoever takes it.
+  auto drain = [&] {
+    for (;;) {
+      std::size_t i = next.fetch_add(1);
+      if (i >= count) {
+        break;
+      }
+      try {
+        body(i);
+      } catch (...) {
+        record_error();
+      }
+    }
+  };
+
+  // One task per worker; each drains the counter. This keeps the queue small
+  // and balances uneven per-client training times. The waiter blocks until
+  // every shard has fully exited, so no shard can touch these stack-local
+  // synchronisation objects after ParallelFor returns.
   std::size_t shards = std::min(count, workers_.size());
   std::size_t active = shards;
   for (std::size_t s = 0; s < shards; ++s) {
     Submit([&] {
-      for (;;) {
-        std::size_t i = next.fetch_add(1);
-        if (i >= count) {
-          break;
-        }
-        try {
-          body(i);
-        } catch (...) {
-          std::lock_guard<std::mutex> lock(error_mutex);
-          if (!first_error) {
-            first_error = std::current_exception();
-          }
-        }
-      }
+      drain();
       // Notify while holding the lock: the waiter re-checks the predicate
       // only after reacquiring done_mutex, so the cv cannot be destroyed
       // while this shard still touches it.
@@ -119,6 +132,17 @@ void ThreadPool::ParallelFor(std::size_t count,
       done_cv.notify_all();
     });
   }
+  // The caller works instead of idling: first its side task, then whatever
+  // indices are left. Its errors are recorded, not thrown, so it still waits
+  // for every shard below.
+  if (meanwhile) {
+    try {
+      meanwhile();
+    } catch (...) {
+      record_error();
+    }
+  }
+  drain();
   std::unique_lock<std::mutex> lock(done_mutex);
   done_cv.wait(lock, [&] { return active == 0; });
   if (first_error) {

@@ -4,7 +4,10 @@
 // FL round; determinism is preserved because every client draws from its own
 // pre-derived RNG stream and results are collected by index. Between rounds
 // the simulation lends the same, then idle, pool to the defense
-// (defense::FilterContext::pool) for its pairwise pass.
+// (defense::FilterContext::pool) for its pairwise pass. The thread that
+// calls ParallelFor never just waits: it runs an optional side task (the
+// simulation's deferred evaluation of the previous round), then takes
+// indices beside the workers.
 #pragma once
 
 #include <condition_variable>
@@ -33,8 +36,13 @@ class ThreadPool {
   void Submit(std::function<void()> task);
 
   // Runs body(i) for i in [0, count) across the pool and blocks until all
-  // iterations complete. Exceptions from body are rethrown (first one wins).
-  void ParallelFor(std::size_t count, const std::function<void(std::size_t)>& body);
+  // iterations complete. The calling thread works too: once the shards are
+  // queued it runs `meanwhile` (if set) exactly once, even when count == 0,
+  // then takes indices beside the workers. Exceptions from body or
+  // `meanwhile` are rethrown (first one wins) after every shard has exited.
+  void ParallelFor(std::size_t count,
+                   const std::function<void(std::size_t)>& body,
+                   const std::function<void()>& meanwhile = {});
 
  private:
   void WorkerLoop();

@@ -407,5 +407,43 @@ TEST_F(CheckpointTest, DeferredUpdateSurvivesCheckpointRestore) {
   std::remove(path.c_str());
 }
 
+// Round r's eval runs while round r+1 trains; a periodic checkpoint
+// resolves it before the next round instead. Both must measure the same
+// snapshot: every round's accuracy matches between the two, and with
+// eval_every = 1 every round is evaluated. DeferAtRound's re-entry round
+// trains nothing, so its predecessor's eval must resolve without a Train.
+TEST_F(CheckpointTest, OverlappedEvalMatchesEagerEval) {
+  constexpr std::size_t kRounds = 6;
+  const std::vector<
+      std::pair<std::string, std::function<std::unique_ptr<defense::Defense>()>>>
+      defenses = {
+          {"asyncfilter", [] { return std::make_unique<core::AsyncFilter>(); }},
+          {"defer", [] { return std::make_unique<DeferAtRound>(2); }},
+      };
+  for (const auto& [tag, make_defense] : defenses) {
+    const std::string path = ::testing::TempDir() + "ckpt_eval_" + tag + ".bin";
+    std::remove(path.c_str());
+    SimulationResult overlapped =
+        Build(41, kRounds, make_defense(), {0, 1, 2}, attacks::AttackKind::kGd)
+            ->Run();
+    auto eager_sim =
+        Build(41, kRounds, make_defense(), {0, 1, 2}, attacks::AttackKind::kGd);
+    eager_sim->SetCheckpointPolicy({path, /*every=*/1, nullptr});
+    SimulationResult eager = eager_sim->Run();
+
+    ASSERT_EQ(overlapped.rounds.size(), kRounds) << tag;
+    ASSERT_EQ(eager.rounds.size(), kRounds) << tag;
+    for (std::size_t r = 0; r < kRounds; ++r) {
+      EXPECT_GE(overlapped.rounds[r].test_accuracy, 0.0)
+          << tag << " round " << r << " was never evaluated";
+      EXPECT_EQ(overlapped.rounds[r].test_accuracy,
+                eager.rounds[r].test_accuracy)
+          << tag << " round " << r;
+    }
+    ExpectBitIdentical(overlapped, eager);
+    std::remove(path.c_str());
+  }
+}
+
 }  // namespace
 }  // namespace fl
