@@ -3,12 +3,14 @@
 // AFPM/AFCZ parameter blocks and the trailing AFTC trace block.
 //
 // Invariants checked beyond memory safety: re-encoding a decoded frame
-// (header + raw payload) reproduces the consumed bytes exactly, and the
+// (header + raw payload) reproduces the consumed bytes exactly, the
 // zero-copy DecodeFrameView agrees with the owning DecodeFrame byte for
-// byte on every input.
+// byte on every input, and the cached broadcast decoder agrees with the
+// plain one on every broadcast.
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -20,6 +22,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   const std::span<const std::uint8_t> bytes(data, size);
 
   std::size_t offset = 0;
+  net::BroadcastDecodeCache cache;  // shared by this input's broadcasts
   fuzz_harness::GuardParse([&] {
     // Stream-decode every complete frame in the buffer, as the server's
     // read loop does.
@@ -63,7 +66,33 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
       fuzz_harness::GuardParse([&] {
         switch (view.type) {
           case net::MessageType::kModelBroadcast: {
-            const auto msg = net::DecodeModelBroadcast(view);
+            // The cached decoder (primed by this input's earlier
+            // broadcasts) must agree with the plain one on every frame:
+            // both reject, or both yield the same fields and float bits.
+            std::optional<net::ModelBroadcastMsg> cached;
+            std::optional<net::ModelBroadcastMsg> plain;
+            fuzz_harness::GuardParse(
+                [&] { cached = net::DecodeModelBroadcast(view, &cache); });
+            fuzz_harness::GuardParse(
+                [&] { plain = net::DecodeModelBroadcast(view); });
+            if (cached.has_value() != plain.has_value()) {
+              std::abort();  // one decoder accepted what the other refused
+            }
+            if (!plain.has_value()) {
+              break;
+            }
+            const net::ModelBroadcastMsg& msg = *plain;
+            if (cached->round != msg.round ||
+                cached->job_index != msg.job_index ||
+                cached->client_id != msg.client_id ||
+                cached->trace_id != msg.trace_id ||
+                cached->parent_span_id != msg.parent_span_id ||
+                cached->params.size() != msg.params.size() ||
+                (!msg.params.empty() &&
+                 std::memcmp(cached->params.data(), msg.params.data(),
+                             msg.params.size() * sizeof(float)) != 0)) {
+              std::abort();  // cached decode disagrees with a full parse
+            }
             fuzz_harness::Observe(0xF420 + (msg.params.size() & 0xFF));
             break;
           }

@@ -130,6 +130,15 @@ void MakeFrameSeeds(const fs::path& dir) {
   broadcast.parent_span_id = 0x99aabbccddeeff00ull;
   WriteSeed(dir, "broadcast_traced",
             net::EncodeFrame(net::EncodeModelBroadcast(broadcast)));
+  // One fp16 model broadcast to two jobs: the second frame's block hits
+  // the cached decode, so mutations land on both the hit and miss paths.
+  std::vector<std::uint8_t> same_model = net::EncodeFrame(
+      net::EncodeModelBroadcast(broadcast, &compress::Get("fp16")));
+  broadcast.job_index = 8;
+  broadcast.client_id = 4;
+  Append(same_model, net::EncodeFrame(net::EncodeModelBroadcast(
+                         broadcast, &compress::Get("fp16"))));
+  WriteSeed(dir, "broadcast_fp16_twice", same_model);
 
   net::ClientUpdateMsg update;
   update.client_id = 3;

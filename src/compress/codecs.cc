@@ -7,7 +7,16 @@
 
 #include "compress/codec.h"
 #include "nn/serialize.h"
+#include "tensor/kernels.h"
 #include "util/check.h"
+
+#if (defined(__x86_64__) || defined(__i386__)) && \
+    (defined(__GNUC__) || defined(__clang__))
+#define AF_CODECS_X86 1
+#include <immintrin.h>
+#else
+#define AF_CODECS_X86 0
+#endif
 
 namespace compress {
 namespace {
@@ -86,6 +95,75 @@ class IdentityCodec final : public Codec {
 
 // --- fp16 --------------------------------------------------------------
 
+// Scalar reference loops; the AVX2 path below finishes its ragged tail and
+// its NaN lanes with them.
+void EncodeHalves(const float* in, std::size_t n, std::uint8_t* out) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint16_t half = FloatToHalf(in[i]);
+    std::memcpy(out + i * sizeof(half), &half, sizeof(half));
+  }
+}
+
+void DecodeHalves(const std::uint8_t* in, std::size_t n, float* out) {
+  for (std::size_t i = 0; i < n; ++i) {
+    std::uint16_t half;
+    std::memcpy(&half, in + i * sizeof(half), sizeof(half));
+    out[i] = HalfToFloat(half);
+  }
+}
+
+#if AF_CODECS_X86
+// F16C converts 8 lanes per instruction and matches FloatToHalf /
+// HalfToFloat bit for bit except on NaNs: the hardware keeps a NaN's
+// payload where FloatToHalf collapses it to sign|0x7E00, and it sets the
+// quiet bit of a signaling half where HalfToFloat keeps it clear. Lanes
+// that can hit either case (an unordered float, a half with exponent 31)
+// are redone in scalar, so the output is the scalar reference's.
+__attribute__((target("avx2,f16c"))) void EncodeHalvesAvx2(
+    const float* in, std::size_t n, std::uint8_t* out) {
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 v = _mm256_loadu_ps(in + i);
+    const __m128i h =
+        _mm256_cvtps_ph(v, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i * 2), h);
+    int nan_lanes = _mm256_movemask_ps(_mm256_cmp_ps(v, v, _CMP_UNORD_Q));
+    while (nan_lanes != 0) {
+      const int lane = __builtin_ctz(nan_lanes);
+      nan_lanes &= nan_lanes - 1;
+      EncodeHalves(in + i + lane, 1, out + (i + lane) * 2);
+    }
+  }
+  EncodeHalves(in + i, n - i, out + i * 2);
+}
+
+__attribute__((target("avx2,f16c"))) void DecodeHalvesAvx2(
+    const std::uint8_t* in, std::size_t n, float* out) {
+  const __m128i exp_mask = _mm_set1_epi16(0x7C00);
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m128i h =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(in + i * 2));
+    _mm256_storeu_ps(out + i, _mm256_cvtph_ps(h));
+    // Two mask bits per 16-bit lane; exponent 31 is inf or NaN.
+    int special = _mm_movemask_epi8(
+        _mm_cmpeq_epi16(_mm_and_si128(h, exp_mask), exp_mask));
+    while (special != 0) {
+      const int lane = __builtin_ctz(special) / 2;
+      special &= ~(3 << (lane * 2));
+      DecodeHalves(in + (i + lane) * 2, 1, out + i + lane);
+    }
+  }
+  DecodeHalves(in + i * 2, n - i, out + i);
+}
+
+// F16C rides the kernels' AVX2 dispatch (Avx2Available checks it), so
+// AF_KERNEL_ISA=scalar and ForceIsa select the scalar loops here too.
+bool UseF16c() {
+  return tensor::kernels::ActiveIsa() == tensor::kernels::Isa::kAvx2;
+}
+#endif
+
 class Fp16Codec final : public Codec {
  public:
   const char* name() const override { return "fp16"; }
@@ -96,10 +174,16 @@ class Fp16Codec final : public Codec {
 
   void EncodeBody(std::span<const float> values,
                   std::vector<std::uint8_t>& out) const override {
-    out.reserve(out.size() + values.size() * sizeof(std::uint16_t));
-    for (float v : values) {
-      AppendRaw(out, FloatToHalf(v));
+    const std::size_t start = out.size();
+    out.resize(start + values.size() * sizeof(std::uint16_t));
+    std::uint8_t* dst = out.data() + start;
+#if AF_CODECS_X86
+    if (UseF16c()) {
+      EncodeHalvesAvx2(values.data(), values.size(), dst);
+      return;
     }
+#endif
+    EncodeHalves(values.data(), values.size(), dst);
   }
 
   std::vector<float> DecodeBody(std::span<const std::uint8_t> body,
@@ -111,11 +195,13 @@ class Fp16Codec final : public Codec {
         << "fp16 body is " << body.size() << " bytes; expected "
         << count * sizeof(std::uint16_t) << " for " << count << " values";
     std::vector<float> values(static_cast<std::size_t>(count));
-    for (std::size_t i = 0; i < values.size(); ++i) {
-      std::uint16_t half;
-      std::memcpy(&half, body.data() + i * sizeof(half), sizeof(half));
-      values[i] = HalfToFloat(half);
+#if AF_CODECS_X86
+    if (UseF16c()) {
+      DecodeHalvesAvx2(body.data(), values.size(), values.data());
+      return values;
     }
+#endif
+    DecodeHalves(body.data(), values.size(), values.data());
     return values;
   }
 };
@@ -161,7 +247,6 @@ class Int8Codec final : public Codec {
     }
     AppendRaw(out, scale);
     AppendRaw(out, zero_point);
-    out.reserve(out.size() + values.size());
     for (float v : values) {
       std::uint8_t q;
       if (!std::isfinite(v)) {

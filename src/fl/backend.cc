@@ -1,5 +1,7 @@
 #include "fl/backend.h"
 
+#include <map>
+
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/check.h"
@@ -42,8 +44,18 @@ std::vector<net::UpdateView> InprocBackend::TrainAlongside(
 
   std::vector<net::UpdateView> honest(jobs.size());
   // Mirror of the wire's downlink policy: broadcast-safe codecs compress
-  // full params, delta-only codecs fall back to identity for the base.
-  const bool lossy_downlink = codec_ != nullptr && codec_->broadcast_safe();
+  // full params, delta-only codecs fall back to identity for the base. The
+  // wire encodes each distinct base once, and so does the mirror: the
+  // round trip is a pure function of the base.
+  std::map<const std::vector<float>*, std::vector<float>> received;
+  if (codec_ != nullptr && codec_->broadcast_safe()) {
+    for (const TrainJob& job : jobs) {
+      auto [it, fresh] = received.try_emplace(job.base.get());
+      if (fresh) {
+        it->second = compress::RoundTrip(*codec_, *job.base);
+      }
+    }
+  }
   // `meanwhile` rides on the first wave; with no jobs it runs here.
   if (waves.empty() && meanwhile) {
     meanwhile();
@@ -67,8 +79,9 @@ std::vector<net::UpdateView> InprocBackend::TrainAlongside(
       // Feedback stays per-client: each wave holds one job per client and
       // waves run in job_index order, matching the tcp worker's sequential
       // encode order.
-      const std::vector<float> base =
-          lossy_downlink ? compress::RoundTrip(*codec_, *job.base) : *job.base;
+      const auto it = received.find(job.base.get());
+      const std::vector<float>& base =
+          it != received.end() ? it->second : *job.base;
       std::vector<float> delta = clients_[cid]->TrainOnce(base, local_, rng);
       honest[j] = compress::RoundTrip(*codec_, delta, &feedback_[cid]);
     }, v == 0 ? meanwhile : nothing);

@@ -134,13 +134,15 @@ int VirtualClientEngine::worker_count() const {
 namespace {
 
 // One pool connection: the socket plus its read scratch and the outbox the
-// engine workers fill. `out` is the only cross-thread state (out_mu).
+// engine workers fill. `out` is the only cross-thread state (out_mu); the
+// decode cache is the pump's, and the floats it hands out are immutable.
 struct PoolConn {
   net::Connection conn;
   const compress::Codec* codec = nullptr;  // set by pump before any job
   bool done = false;                       // saw Shutdown or EOF
   std::vector<std::uint8_t> in;
   std::size_t in_offset = 0;
+  net::BroadcastDecodeCache broadcasts;
   std::mutex out_mu;
   std::vector<std::uint8_t> out;
   std::size_t out_offset = 0;
@@ -284,7 +286,8 @@ struct VirtualClientPool::Impl {
         return;
       }
       case net::MessageType::kModelBroadcast: {
-        const net::ModelBroadcastMsg msg = net::DecodeModelBroadcast(frame);
+        net::ModelBroadcastMsg msg =
+            net::DecodeModelBroadcast(frame, &pc.broadcasts);
         AF_CHECK_GE(msg.client_id, 0)
             << "pool: broadcast for negative client " << msg.client_id;
         AF_CHECK_LT(msg.client_id, options.num_clients)
@@ -295,8 +298,9 @@ struct VirtualClientPool::Impl {
         job.round = msg.round;
         job.trace_id = msg.trace_id;
         job.parent_span_id = msg.parent_span_id;
-        // Owned copy: the frame buffer is recycled as soon as we return.
-        job.base.assign(msg.params.begin(), msg.params.end());
+        // The cached decode owns its floats, so the view outlives the
+        // frame buffer, which is recycled as soon as we return.
+        job.base = std::move(msg.params);
         jobs.Increment();
         {
           std::lock_guard<std::mutex> lock(sched_mu);

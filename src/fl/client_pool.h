@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "net/socket.h"
+#include "net/update_view.h"
 
 namespace fl {
 
@@ -62,15 +63,17 @@ struct ClientPoolSpec {
 int ResolvePoolConnections(int requested, int num_clients);
 int ResolvePoolWorkers(int requested);
 
-// One training job demuxed off a connection. `base` is an owned copy of
-// the broadcast parameters (the wire buffer is recycled immediately).
+// One training job demuxed off a connection. `base` is a read-only view of
+// the broadcast parameters that keeps its floats alive: the connection
+// decodes each distinct model once, and every job that receives it shares
+// that one buffer across the engine workers.
 struct VirtualJob {
   int client_id = -1;
   std::uint64_t job_index = 0;
   std::uint64_t round = 0;
   std::uint64_t trace_id = 0;
   std::uint64_t parent_span_id = 0;
-  std::vector<float> base;
+  net::UpdateView base;
 };
 
 // Shared work queue + fixed worker crew. Tasks are opaque thunks so the

@@ -357,12 +357,19 @@ void Server::PollOnce(int timeout_ms) {
 }
 
 bool Server::SendTo(int client_id, const Frame& frame) {
+  return SendAppended(client_id, [&frame](std::vector<std::uint8_t>& out) {
+    AppendFrameBytes(out, frame);
+  });
+}
+
+bool Server::SendAppended(int client_id, const FrameAppender& append) {
   auto it = by_client_.find(client_id);
   if (it == by_client_.end()) {
     return false;
   }
   Conn& conn = *it->second;
-  QueueFrame(conn, frame);
+  append(conn.out);
+  frames_sent_.Increment();
   // Opportunistic immediate flush keeps broadcasts prompt without waiting a
   // tick.
   if (!WriteConn(conn)) {

@@ -86,6 +86,13 @@ class Server {
   // when the client is not connected.
   bool SendTo(int client_id, const Frame& frame);
 
+  // SendTo without an intermediate Frame: `append` writes one whole
+  // encoded frame onto the end of the connection's outbox, as the
+  // Append*Frame encoders do (it is not called when the client is not
+  // connected).
+  using FrameAppender = std::function<void(std::vector<std::uint8_t>& out)>;
+  bool SendAppended(int client_id, const FrameAppender& append);
+
   // Queues a Shutdown frame to every identified client.
   void BroadcastShutdown();
 

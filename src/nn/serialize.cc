@@ -34,7 +34,6 @@ std::size_t FlatParamsWireSize(std::size_t count) {
 
 void AppendFlatParams(std::vector<std::uint8_t>& out,
                       std::span<const float> params) {
-  out.reserve(out.size() + FlatParamsWireSize(params.size()));
   out.insert(out.end(), kMagic, kMagic + sizeof(kMagic));
   AppendRaw(out, kVersion);
   AppendRaw(out, static_cast<std::uint64_t>(params.size()));

@@ -37,7 +37,8 @@ Isa DetectIsa() {
 
 bool Avx2Available() {
 #if AF_KERNELS_X86
-  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma") &&
+         __builtin_cpu_supports("f16c");
 #else
   return false;
 #endif

@@ -21,7 +21,7 @@ namespace tensor::kernels {
 
 enum class Isa {
   kScalar,  // portable fallback, auto-vectorizes at -O2/-O3
-  kAvx2,    // AVX2 + FMA intrinsics, runtime-detected
+  kAvx2,    // AVX2 + FMA (+ F16C) intrinsics, runtime-detected
 };
 
 // The ISA every kernel dispatches to. Detected once (cached); honours the
@@ -35,7 +35,8 @@ void ForceIsa(Isa isa);
 // Test hook: drop the ForceIsa override and return to detection + env.
 void ResetForcedIsa();
 
-// True when the CPU (and compiler) support the AVX2+FMA path.
+// True when the CPU (and compiler) support the AVX2+FMA path. It also
+// requires F16C, which the fp16 codec's conversions use on the same path.
 bool Avx2Available();
 
 // ---- BLAS-1 style primitives (double accumulation, fixed order) ----------

@@ -7,10 +7,12 @@
 #include <cstring>
 #include <functional>
 #include <limits>
+#include <random>
 #include <string>
 #include <vector>
 
 #include "nn/serialize.h"
+#include "tensor/kernels.h"
 #include "util/check.h"
 
 namespace compress {
@@ -114,6 +116,141 @@ TEST(CodecTest, Fp16ScalarConversionEdgeCases) {
   // exactly halfway between 1 and the next half; even mantissa wins.
   EXPECT_EQ(HalfToFloat(FloatToHalf(1.0f + 0x1p-11f)), 1.0f);
   EXPECT_EQ(HalfToFloat(FloatToHalf(1.0f + 3 * 0x1p-11f)), 1.0f + 0x1p-9f);
+}
+
+// Runs `body` under every kernel ISA this CPU supports; the fp16 codec's
+// F16C path rides the AVX2 dispatch.
+void ForEachIsa(const std::function<void()>& body) {
+  using tensor::kernels::Isa;
+  for (const Isa isa : {Isa::kScalar, Isa::kAvx2}) {
+    if (isa == Isa::kAvx2 && !tensor::kernels::Avx2Available()) {
+      continue;
+    }
+    tensor::kernels::ForceIsa(isa);
+    SCOPED_TRACE(isa == Isa::kAvx2 ? "isa avx2" : "isa scalar");
+    body();
+  }
+  tensor::kernels::ResetForcedIsa();
+}
+
+float FromBits(std::uint32_t bits) {
+  float value;
+  std::memcpy(&value, &bits, sizeof(value));
+  return value;
+}
+
+// Vector lengths that exercise the 8-lane body, the scalar tail and both
+// together, plus the LeNet surrogate's parameter count.
+std::vector<std::size_t> KernelLengths() {
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 17; ++n) {
+    lengths.push_back(n);
+  }
+  lengths.push_back(4538);
+  return lengths;
+}
+
+TEST(CodecTest, Fp16DecodeIsBitExactOnEveryHalf) {
+  // All 65,536 halves, signaling NaNs with every payload included, must
+  // decode to HalfToFloat's exact bits on every path.
+  std::vector<std::uint8_t> body(65536 * 2);
+  for (std::uint32_t h = 0; h < 65536; ++h) {
+    const auto half = static_cast<std::uint16_t>(h);
+    std::memcpy(body.data() + h * 2, &half, sizeof(half));
+  }
+  ForEachIsa([&] {
+    const std::vector<float> all = Get("fp16").DecodeBody(body, 65536);
+    ASSERT_EQ(all.size(), 65536u);
+    std::size_t mismatches = 0;
+    for (std::uint32_t h = 0; h < 65536; ++h) {
+      const float expected = HalfToFloat(static_cast<std::uint16_t>(h));
+      if (std::memcmp(&all[h], &expected, sizeof(float)) != 0) {
+        if (mismatches++ == 0) {
+          ADD_FAILURE() << "first mismatch at half 0x" << std::hex << h;
+        }
+      }
+    }
+    EXPECT_EQ(mismatches, 0u);
+    // Short and ragged lengths, each starting just below the exponent-31
+    // block so infinities and NaNs land in both the 8-lane body and the
+    // tail.
+    for (const std::size_t n : KernelLengths()) {
+      const std::size_t first = 0x7C00 - 5;
+      const std::span<const std::uint8_t> slice(body.data() + first * 2,
+                                                n * 2);
+      const std::vector<float> decoded = Get("fp16").DecodeBody(slice, n);
+      ASSERT_EQ(decoded.size(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        const float expected =
+            HalfToFloat(static_cast<std::uint16_t>(first + i));
+        EXPECT_EQ(std::memcmp(&decoded[i], &expected, sizeof(float)), 0)
+            << "length " << n << " lane " << i;
+      }
+    }
+  });
+}
+
+TEST(CodecTest, Fp16EncodeIsBitExactOnEdgeAndRandomFloats) {
+  std::vector<float> corpus;
+  for (const std::uint32_t bits : {
+           0x7FC00000u, 0x7FC00001u, 0x7FFFFFFFu,  // quiet NaNs + payloads
+           0x7F800001u, 0x7FA00000u, 0x7FBFFFFFu,  // signaling NaNs
+           0xFFC12345u, 0xFF800123u,               // negative NaNs
+           0x00000001u, 0x007FFFFFu, 0x80000001u,  // float subnormals
+       }) {
+    corpus.push_back(FromBits(bits));
+  }
+  const float inf = std::numeric_limits<float>::infinity();
+  for (const float v : {
+           0.0f, inf,
+           0x1p-24f,                   // least half subnormal
+           0x1p-25f,                   // exact tie with zero → 0
+           0x1.000002p-25f,            // just above the tie → 2^-24
+           3 * 0x1p-26f,               // 1.5 · 2^-24 ties to even → 2^-23
+           0x1p-14f,                   // least half normal
+           0x1p-14f - 0x1p-25f,        // rounds up across the boundary
+           0x1.ff8p-15f,               // largest subnormal half
+           65504.0f, 65519.99f, 65520.0f, 1e30f,
+           1.0f + 0x1p-11f,            // tie → even (1.0)
+           1.0f + 3 * 0x1p-11f,        // tie → even (up)
+           2049.0f, 2051.0f,           // integer ties at 2^11
+       }) {
+    corpus.push_back(v);
+    corpus.push_back(-v);
+  }
+  std::mt19937 gen(20241020);
+  for (int i = 0; i < (1 << 16); ++i) {
+    corpus.push_back(FromBits(static_cast<std::uint32_t>(gen())));
+  }
+
+  const auto expect_scalar_bytes = [](std::span<const float> values) {
+    std::vector<std::uint8_t> out = {0xAA};  // encode appends past a prefix
+    Get("fp16").EncodeBody(values, out);
+    ASSERT_EQ(out.size(), 1 + values.size() * 2);
+    EXPECT_EQ(out[0], 0xAA);
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      const std::uint16_t expected = FloatToHalf(values[i]);
+      std::uint16_t got;
+      std::memcpy(&got, out.data() + 1 + i * 2, sizeof(got));
+      if (got != expected) {
+        std::uint32_t bits;
+        std::memcpy(&bits, &values[i], sizeof(bits));
+        ADD_FAILURE() << "length " << values.size() << " lane " << i
+                      << ": float 0x" << std::hex << bits << " encoded 0x"
+                      << got << ", scalar 0x" << expected;
+        return;
+      }
+    }
+  };
+  ForEachIsa([&] {
+    expect_scalar_bytes(corpus);
+    // The edge values lead the corpus, so every length sees NaNs and ties
+    // in the 8-lane body, the tail, or both.
+    for (const std::size_t n : KernelLengths()) {
+      expect_scalar_bytes(std::span<const float>(corpus).first(n));
+      expect_scalar_bytes(std::span<const float>(corpus).subspan(3, n));
+    }
+  });
 }
 
 TEST(CodecTest, Int8ErrorWithinHalfScale) {
