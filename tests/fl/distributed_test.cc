@@ -298,6 +298,36 @@ TEST(DistributedTest, VirtualPoolMatchesRealFleetBitExactly) {
   }
 }
 
+TEST(DistributedTest, PoolConnectionDecodesEachBaseOncePerBatch) {
+  // A batch mixes the bases of several dispatch rounds in arrival order.
+  // The server sends it grouped by base, so a pool connection decodes each
+  // base at most once per batch however the arrivals interleave.
+  ExperimentConfig config = SmallConfig(71);
+  config.sim.rounds = 8;
+  config.transport = TransportKind::kTcp;
+  config.compress = "fp16";
+  config.pool.mode = ClientPoolSpec::Mode::kVirtual;
+  config.pool.connections = 1;
+  config.pool.workers = 2;
+  obs::Counter& misses =
+      obs::DefaultRegistry().GetCounter("net.broadcast_cache.misses");
+  obs::Counter& hits =
+      obs::DefaultRegistry().GetCounter("net.broadcast_cache.hits");
+  const std::uint64_t misses_before = misses.Value();
+  const std::uint64_t hits_before = hits.Value();
+  const SimulationResult result = RunExperiment(config);
+  ASSERT_EQ(result.evicted_clients, 0u);
+
+  // One batch per round; each staleness value in it is one base.
+  std::size_t bases = 0;
+  for (const RoundRecord& round : result.rounds) {
+    bases += round.staleness_histogram.size();
+  }
+  EXPECT_GT(bases, result.rounds.size()) << "no batch mixed two bases";
+  EXPECT_LE(misses.Value() - misses_before, bases);
+  EXPECT_GT(hits.Value() - hits_before, 0u);
+}
+
 TEST(DistributedTest, CompletesWhenFifthOfClientsDieMidRun) {
   // The graceful-degradation bar: kill 20% of the client connections mid-run
   // and the server must still finish every round, aggregating from the
